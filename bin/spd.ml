@@ -689,7 +689,12 @@ let explain_cmd =
             exit 1
           end;
           handle_errors (fun () ->
-              let t = Explain.analyze ~width ~mem_latency name in
+              let t =
+                Spd_harness.Experiment.with_session
+                  (Spd_harness.Engine.Session.create ~jobs:1 ())
+                  (fun session ->
+                    Explain.analyze ~width ~mem_latency session name)
+              in
               (match (fn, tree) with
               | None, None -> ()
               | _ ->
@@ -896,9 +901,9 @@ let cache_cmd =
   let module Json = Spd_telemetry.Json in
   let module Metrics = Spd_telemetry.Metrics in
   let stats_run dir json =
-    (* register the cache counter family so the snapshot carries the
-       spd.cache.* names even before any cell fires them *)
-    Spd_harness.Engine.register_metrics ();
+    (* the engine registers the spd.cache.* counter family when it is
+       loaded, so the snapshot carries those names before any cell
+       fires them *)
     let entries = ref 0 and bytes = ref 0 in
     (match Sys.readdir dir with
     | names ->

@@ -5,9 +5,10 @@
     every cell is a pure function of the workload source and the
     pipeline configuration.  A {!Session} exploits both facts:
 
-    - {b promise-style memoization}: each cell is computed exactly
-      once per session; concurrent requesters block on the promise of
-      the domain already computing it;
+    - {b promise-style memoization}: each cell, and each stage node a
+      cell is computed from (see the stage DAG in {!Session}), is
+      computed exactly once per session; concurrent requesters block
+      on the promise of the domain already computing it;
     - {b a fixed-size domain pool}: [jobs] ways of parallelism
       (including the calling domain, which drains the task queue while
       it waits, so [jobs = 1] degenerates to plain sequential
@@ -40,46 +41,34 @@ module M = Spd_telemetry.Metrics
 module Log = Spd_telemetry.Log
 module Clock = Spd_telemetry.Clock
 
-let m_lowerings = lazy (M.counter "spd.engine.lowerings")
-let m_preparations = lazy (M.counter "spd.engine.preparations")
-let m_simulations = lazy (M.counter "spd.engine.simulations")
-let m_cache_hits = lazy (M.counter "spd.engine.cache.hits")
-let m_cache_misses = lazy (M.counter "spd.engine.cache.misses")
-let m_cache_evictions = lazy (M.counter "spd.engine.cache.evictions")
+let m_lowerings = M.counter "spd.engine.lowerings"
+let m_preparations = M.counter "spd.engine.preparations"
+let m_simulations = M.counter "spd.engine.simulations"
+let m_observations = M.counter "spd.engine.observations"
+let m_static_runs = M.counter "spd.engine.static_runs"
+let m_profiles = M.counter "spd.engine.profiles"
+let m_spd_runs = M.counter "spd.engine.spd_runs"
+let m_cache_hits = M.counter "spd.engine.cache.hits"
+let m_cache_misses = M.counter "spd.engine.cache.misses"
+let m_cache_evictions = M.counter "spd.engine.cache.evictions"
 
 (* the short [spd.cache.*] names surfaced by `spd cache stats` and the
    Prometheus exposition, fired alongside the [spd.engine.cache.*]
    counters above *)
-let m_cache_hit = lazy (M.counter "spd.cache.hit")
-let m_cache_miss = lazy (M.counter "spd.cache.miss")
-let m_cache_evict = lazy (M.counter "spd.cache.evict")
-let m_cell_retries = lazy (M.counter "spd.engine.cells.retried")
-let m_cell_failures = lazy (M.counter "spd.engine.cells.failed")
-let m_queries = lazy (M.counter "spd.engine.queries")
+let m_cache_hit = M.counter "spd.cache.hit"
+let m_cache_miss = M.counter "spd.cache.miss"
+let m_cache_evict = M.counter "spd.cache.evict"
+let m_cell_retries = M.counter "spd.engine.cells.retried"
+let m_cell_failures = M.counter "spd.engine.cells.failed"
+let m_queries = M.counter "spd.engine.queries"
 
 let m_stage_seconds =
-  lazy
-    (List.map
-       (fun st ->
-         ( st,
-           M.histogram ~buckets:M.time_buckets
-             ("spd.engine.stage_seconds." ^ Pipeline.stage_name st) ))
-       Pipeline.stages)
-
-let mark c = M.incr (Lazy.force c)
-
-(** Force registration of the engine-level counters (including the
-    [spd.cache.*] aliases), so a metrics snapshot carries them before
-    any cell fires them. *)
-let register_metrics () =
-  List.iter
-    (fun c -> ignore (Lazy.force c))
-    [
-      m_lowerings; m_preparations; m_simulations; m_cache_hits;
-      m_cache_misses; m_cache_evictions; m_cache_hit; m_cache_miss;
-      m_cache_evict; m_cell_retries; m_cell_failures; m_queries;
-    ];
-  ignore (Lazy.force m_stage_seconds)
+  List.map
+    (fun st ->
+      ( st,
+        M.histogram ~buckets:M.time_buckets
+          ("spd.engine.stage_seconds." ^ Pipeline.stage_name st) ))
+    Pipeline.stages
 
 (* ------------------------------------------------------------------ *)
 (* Promise-style memo table, safe for concurrent use from domains.  The
@@ -151,7 +140,10 @@ module Pool : sig
   val map : t -> ('a -> 'b) -> 'a list -> 'b list
   val close : t -> unit
 end = struct
-  type batch = { mutable remaining : int; mutable failed : exn option }
+  type batch = {
+    mutable remaining : int;
+    mutable failed : (exn * Printexc.raw_backtrace) option;
+  }
   type task = { run : unit -> unit; batch : batch }
 
   type t = {
@@ -173,8 +165,9 @@ end = struct
   let run_task t task =
     (try task.run ()
      with e ->
+       let bt = Printexc.get_raw_backtrace () in
        Mutex.lock t.mu;
-       if task.batch.failed = None then task.batch.failed <- Some e;
+       if task.batch.failed = None then task.batch.failed <- Some (e, bt);
        Mutex.unlock t.mu);
     Mutex.lock t.mu;
     task.batch.remaining <- task.batch.remaining - 1;
@@ -237,7 +230,9 @@ end = struct
           end
         in
         drain ();
-        (match batch.failed with Some e -> raise e | None -> ());
+        (match batch.failed with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ());
         Array.to_list (Array.map Option.get out)
 
   let close t =
@@ -279,20 +274,33 @@ let () =
 
 (* ------------------------------------------------------------------ *)
 (* Typed queries: the one request shape the engine accepts.  A query
-   names an artefact of a (bench, latency) cell plus optional
-   per-request budgets.  Budgets only *tighten* the session's own
-   budgets, and a budgeted query memoizes under its own cell — a
-   quota-starved request can fail without poisoning the unbudgeted
-   cell, while N identical budgeted requests still cost one
+   names an artefact of a (bench, latency) cell, optionally of a grafted
+   program or under non-default heuristic parameters (the extension
+   studies), plus optional per-request budgets.  Budgets only *tighten*
+   the session's own budgets, and a budgeted query memoizes under its
+   own cell — a quota-starved request can fail without poisoning the
+   unbudgeted cell, while N identical budgeted requests still cost one
    computation. *)
 
 let width_tag = function
   | Spd_machine.Descr.Infinite -> "inf"
   | Spd_machine.Descr.Fus n -> "fus" ^ string_of_int n
 
+(* the program variant of a cell, appended to its keys only when it
+   differs from the paper grid's, so grid keys read as they always did *)
+let variant_tag ~graft ~(spd_params : Spd_core.Heuristic.params option) =
+  (if graft then "+graft" else "")
+  ^
+  match spd_params with
+  | None -> ""
+  | Some p ->
+      Printf.sprintf "+me=%g+mg=%g+ma=%d" p.max_expansion p.min_gain
+        p.max_applications
+
 module Query = struct
   type artefact =
     | Cycles of { kind : Pipeline.kind; width : Spd_machine.Descr.width }
+    | Hw_cycles of { window : int; width : Spd_machine.Descr.width }
     | Code_size of Pipeline.kind
     | Spd_counts
     | Spd_dynamics
@@ -309,12 +317,15 @@ module Query = struct
     bench : string;
     latency : int;
     artefact : artefact;
+    graft : bool;
+    spd_params : Spd_core.Heuristic.params option;
     fuel : int option;
     deadline : float option;
   }
 
   let artefact_name = function
     | Cycles _ -> "cycles"
+    | Hw_cycles _ -> "hw-cycles"
     | Code_size _ -> "code-size"
     | Spd_counts -> "spd-counts"
     | Spd_dynamics -> "spd-dynamics"
@@ -326,19 +337,22 @@ module Query = struct
 
   let artefact_names =
     [
-      "cycles"; "code-size"; "spd-counts"; "spd-dynamics"; "spd-decisions";
-      "spd-validate"; "speedup-over-naive"; "spec-over-static"; "code-growth";
+      "cycles"; "hw-cycles"; "code-size"; "spd-counts"; "spd-dynamics";
+      "spd-decisions"; "spd-validate"; "speedup-over-naive";
+      "spec-over-static"; "code-growth";
     ]
 
-  let v ?fuel ?deadline ~bench ~latency artefact =
-    if latency < 1 then
-      invalid_arg
-        (Printf.sprintf "Engine.Query.v: latency must be positive, got %d"
-           latency);
-    (match fuel with
-    | Some n when n < 1 ->
+  let v ?fuel ?deadline ?(graft = false) ?spd_params ~bench ~latency artefact
+      =
+    let positive what n =
+      if n < 1 then
         invalid_arg
-          (Printf.sprintf "Engine.Query.v: fuel must be positive, got %d" n)
+          (Printf.sprintf "Engine.Query.v: %s must be positive, got %d" what n)
+    in
+    positive "latency" latency;
+    Option.iter (positive "fuel") fuel;
+    (match artefact with
+    | Hw_cycles { window; _ } -> positive "window" window
     | _ -> ());
     (match deadline with
     | Some d when d <= 0.0 ->
@@ -346,13 +360,23 @@ module Query = struct
           (Printf.sprintf "Engine.Query.v: deadline must be positive, got %g"
              d)
     | _ -> ());
-    { bench; latency; artefact; fuel; deadline }
+    {
+      bench;
+      latency;
+      artefact;
+      graft;
+      spd_params = Pipeline.Config.canonical_params spd_params;
+      fuel;
+      deadline;
+    }
 
   let key (q : t) =
     let detail =
       match q.artefact with
       | Cycles { kind; width } ->
           Printf.sprintf "/%s/%s" (Pipeline.name kind) (width_tag width)
+      | Hw_cycles { window; width } ->
+          Printf.sprintf "/w%d/%s" window (width_tag width)
       | Code_size kind -> "/" ^ Pipeline.name kind
       | Spd_counts | Spd_dynamics | Spd_decisions | Spd_verdicts
       | Code_growth ->
@@ -370,9 +394,11 @@ module Query = struct
       | None -> ""
       | Some d -> Printf.sprintf "+deadline=%g" d
     in
-    Printf.sprintf "%s/%d/%s%s%s" q.bench q.latency
+    Printf.sprintf "%s/%d/%s%s%s%s" q.bench q.latency
       (artefact_name q.artefact)
-      detail budget
+      detail
+      (variant_tag ~graft:q.graft ~spd_params:q.spd_params)
+      budget
 end
 
 type value =
@@ -421,6 +447,10 @@ module Stats = struct
     lowerings : int;  (** source programs compiled to IR *)
     preparations : int;  (** pipelines actually run (not cache hits) *)
     simulations : int;  (** schedule+simulate runs actually performed *)
+    observations : int;  (** NAIVE ground-truth observations run *)
+    static_runs : int;  (** static disambiguations run *)
+    profiles : int;  (** profiling runs *)
+    spd_runs : int;  (** SpD heuristic runs *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
     disk_evictions : int;  (** corrupt on-disk entries evicted and recomputed *)
@@ -444,8 +474,12 @@ module Stats = struct
         ("disk_hits", t.disk_hits);
         ("disk_misses", t.disk_misses);
         ("lowerings", t.lowerings);
+        ("observations", t.observations);
         ("preparations", t.preparations);
+        ("profiles", t.profiles);
         ("simulations", t.simulations);
+        ("spd_runs", t.spd_runs);
+        ("static_runs", t.static_runs);
       ]
 
   let pp ppf t =
@@ -457,16 +491,28 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  (* The internal memo key: cell coordinates plus the per-request
-     budget.  Budgeted queries memoize under their own cells; the
-     common unbudgeted case is [q_fuel = None; q_deadline = None]. *)
+  (* The internal memo key: cell coordinates, the program variant and
+     the per-request budget.  [spd_params] is canonical (see
+     {!Pipeline.Config.canonical_params}) and [None] for every kind but
+     SPEC, the one pipeline it affects.  Budgeted queries memoize under
+     their own cells; the common unbudgeted case is [q_fuel = None;
+     q_deadline = None]. *)
   type key = {
     bench : string;
     latency : int;
     kind : Pipeline.kind;
+    graft : bool;
+    spd_params : Spd_core.Heuristic.params option;
     q_fuel : int option;
     q_deadline : float option;
   }
+
+  (* Stage-node keys.  A node is keyed by exactly its inputs: the NAIVE
+     and STATIC programs by (bench, graft); the nodes that run the
+     simulator (observation, profiles) also by the request budget, so a
+     starved budget fails its own node and never a shared one. *)
+  type front = string * bool
+  type sim_key = front * int option * float option
 
   (* every on-disk entry is one of these, Marshal'd; constructor names
      are irrelevant to Marshal (tags are positional) but their order is
@@ -487,8 +533,16 @@ module Session = struct
     cache_dir : string option;  (* None = on-disk cache disabled *)
     pool : Pool.t;
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
+    naive_memo : (front, Spd_ir.Prog.t) Memo.t;
+    static_memo : (front, Spd_ir.Prog.t) Memo.t;
+    observed_memo : (sim_key, Pipeline.observation) Memo.t;
+    profile_memo : (sim_key * Pipeline.kind, Spd_sim.Profile.t) Memo.t;
+        (* keyed by the profiled program: NAIVE or STATIC *)
     prep_memo : (key, Pipeline.prepared) Memo.t;
-    cycles_memo : (key * Spd_machine.Descr.width, int outcome) Memo.t;
+        (* latency 0 for every kind but SPEC: see [prepared_cell] *)
+    cycles_memo :
+      (key * Spd_machine.Descr.width * int option, int outcome) Memo.t;
+        (* [Some window]: the hardware-window machine *)
     summary_memo : (key, (int * (int * int * int)) outcome) Memo.t;
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
     decisions_memo : (key, Spd_core.Heuristic.decision list outcome) Memo.t;
@@ -497,6 +551,10 @@ module Session = struct
     mutable lowerings : int;
     mutable preparations : int;
     mutable simulations : int;
+    mutable observations : int;
+    mutable static_runs : int;
+    mutable profiles : int;
+    mutable spd_runs : int;
     mutable disk_hits : int;
     mutable disk_misses : int;
     mutable disk_evictions : int;
@@ -528,7 +586,7 @@ module Session = struct
       let i = Pipeline.stage_index stage in
       stage_seconds.(i) <- stage_seconds.(i) +. dt;
       Mutex.unlock stats_mu;
-      M.observe (List.assoc stage (Lazy.force m_stage_seconds)) dt;
+      M.observe (List.assoc stage m_stage_seconds) dt;
       match user_timer with Some f -> f stage dt | None -> ()
     in
     (* the session's checker-raise fault fires ahead of any user hook *)
@@ -563,6 +621,10 @@ module Session = struct
       cache_dir = (if disk_cache then try_prepare_dir cache_dir else None);
       pool = Pool.create ~size:jobs;
       lowered_memo = Memo.create 16;
+      naive_memo = Memo.create 32;
+      static_memo = Memo.create 32;
+      observed_memo = Memo.create 32;
+      profile_memo = Memo.create 64;
       prep_memo = Memo.create 64;
       cycles_memo = Memo.create 256;
       summary_memo = Memo.create 64;
@@ -573,6 +635,10 @@ module Session = struct
       lowerings = 0;
       preparations = 0;
       simulations = 0;
+      observations = 0;
+      static_runs = 0;
+      profiles = 0;
+      spd_runs = 0;
       disk_hits = 0;
       disk_misses = 0;
       disk_evictions = 0;
@@ -598,6 +664,10 @@ module Session = struct
         lowerings = t.lowerings;
         preparations = t.preparations;
         simulations = t.simulations;
+        observations = t.observations;
+        static_runs = t.static_runs;
+        profiles = t.profiles;
+        spd_runs = t.spd_runs;
         disk_hits = t.disk_hits;
         disk_misses = t.disk_misses;
         disk_evictions = t.disk_evictions;
@@ -653,7 +723,7 @@ module Session = struct
           in
           if n < t.retries && not out_of_time then begin
             bump t (fun t -> t.cell_retries <- t.cell_retries + 1);
-            mark m_cell_retries;
+            M.incr m_cell_retries;
             Log.info "engine.cell.retry"
               [
                 ("key", Spd_telemetry.Json.String key);
@@ -667,7 +737,7 @@ module Session = struct
             bump t (fun t ->
                 t.cell_failures <- t.cell_failures + 1;
                 t.failures <- f :: t.failures);
-            mark m_cell_failures;
+            M.incr m_cell_failures;
             Log.warn "engine.cell.fail"
               [
                 ("key", Spd_telemetry.Json.String key);
@@ -747,10 +817,10 @@ module Session = struct
     bump t (fun t ->
         t.disk_evictions <- t.disk_evictions + 1;
         t.disk_misses <- t.disk_misses + 1);
-    mark m_cache_evictions;
-    mark m_cache_misses;
-    mark m_cache_evict;
-    mark m_cache_miss
+    M.incr m_cache_evictions;
+    M.incr m_cache_misses;
+    M.incr m_cache_evict;
+    M.incr m_cache_miss
 
   let disk_read t payload : disk_value option =
     match t.cache_dir with
@@ -760,8 +830,8 @@ module Session = struct
         match In_channel.with_open_bin path In_channel.input_all with
         | exception Sys_error _ ->
             bump t (fun t -> t.disk_misses <- t.disk_misses + 1);
-            mark m_cache_misses;
-            mark m_cache_miss;
+            M.incr m_cache_misses;
+            M.incr m_cache_miss;
             None
         | s -> (
             let s =
@@ -771,8 +841,8 @@ module Session = struct
             match decode_entry s with
             | Ok v ->
                 bump t (fun t -> t.disk_hits <- t.disk_hits + 1);
-                mark m_cache_hits;
-                mark m_cache_hit;
+                M.incr m_cache_hits;
+                M.incr m_cache_hit;
                 Some v
             | Error reason -> evict t path reason; None))
 
@@ -795,11 +865,13 @@ module Session = struct
 
   (* The full content address of a grid cell: cache format version,
      digest of the workload source, pipeline kind and configuration
-     fingerprint (which includes the memory latency).  Budgets are
-     deliberately excluded, like they are from the fingerprint: a
-     budget can only turn a result into a failure, never change a
-     successfully computed value, so budgeted successes share their
-     disk entry with the unbudgeted cell. *)
+     fingerprint (which includes the memory latency and the program
+     variant).  Budgets are deliberately excluded, like they are from
+     the fingerprint: a budget can only turn a result into a failure,
+     never change a successfully computed value, so budgeted successes
+     share their disk entry with the unbudgeted cell.  A payload is a
+     function of the source and the cell's configuration alone, so a
+     warm session reads its entries without lowering anything. *)
   let cell_payload t (k : key) =
     let w = W.Registry.by_name k.bench in
     String.concat "|"
@@ -808,13 +880,20 @@ module Session = struct
         Digest.to_hex (Digest.string w.source);
         Pipeline.name k.kind;
         Pipeline.Config.fingerprint
-          { t.config with mem_latency = k.latency };
+          {
+            t.config with
+            mem_latency = k.latency;
+            graft = k.graft;
+            spd_params = k.spd_params;
+          };
       ]
 
   (* The human-readable cell key: what [cell-raise] faults match against
-     and what the failure appendix prints. *)
+     and what the failure appendix prints.  The variant follows the
+     kind, so [bench/lat/SPEC+graft] selects the grafted cells alone. *)
   let cell_key (k : key) =
-    Printf.sprintf "%s/%d/%s" k.bench k.latency (Pipeline.name k.kind)
+    Printf.sprintf "%s/%d/%s%s" k.bench k.latency (Pipeline.name k.kind)
+      (variant_tag ~graft:k.graft ~spd_params:k.spd_params)
 
   (* appended at the END of the full metric key, so [cell-raise]
      prefixes over unbudgeted keys keep matching exactly as before *)
@@ -837,12 +916,15 @@ module Session = struct
     | None, x | x, None -> x
     | Some a, Some b -> Some (Float.min a b)
 
-  (* the pipeline configuration of one cell: per-cell memory latency,
-     session budgets tightened by the request's quotas *)
+  (* the pipeline configuration of one cell: per-cell memory latency and
+     program variant, session budgets tightened by the request's
+     quotas *)
   let config_for t (k : key) =
     {
       t.config with
       Pipeline.Config.mem_latency = k.latency;
+      graft = k.graft;
+      spd_params = k.spd_params;
       fuel = opt_min_int t.config.Pipeline.Config.fuel k.q_fuel;
       deadline =
         opt_min_float t.config.Pipeline.Config.deadline k.q_deadline;
@@ -851,11 +933,25 @@ module Session = struct
   let eff_deadline t (k : key) = opt_min_float t.deadline k.q_deadline
 
   (* ---------------------------------------------------------------- *)
+  (* The stage DAG.  Every node is a promise in its own memo table,
+     computed once per session by whichever domain asks first:
+
+       lowered(bench)
+         -> NAIVE(bench, graft)                    cleanup
+              -> observation(bench, graft, budget)  check
+              -> STATIC(bench, graft)               static
+                   -> P(STATIC)(bench, graft, budget)  profile
+              -> P(NAIVE)(bench, graft, budget)     profile
+       pipelines: NAIVE, STATIC, PERFECT(bench, graft, budget)
+                  SPEC(bench, graft, latency, spd_params, budget)
+       cells:     cycles(pipeline, latency, width), summaries, ledgers
+
+     Only SPEC and the cells depend on the memory latency. *)
 
   let lowered t bench =
     Memo.get t.lowered_memo bench (fun () ->
         bump t (fun t -> t.lowerings <- t.lowerings + 1);
-        mark m_lowerings;
+        M.incr m_lowerings;
         let t0 = Clock.now () in
         let prog =
           Spd_lang.Lower.compile (W.Registry.by_name bench).source
@@ -865,34 +961,100 @@ module Session = struct
         | None -> ());
         prog)
 
+  let nodes t (k : key) : Pipeline.nodes =
+    let config = config_for t k in
+    let front = (k.bench, k.graft) in
+    let sim = (front, k.q_fuel, k.q_deadline) in
+    let naive () =
+      Memo.get t.naive_memo front (fun () ->
+          Pipeline.clean config (lowered t k.bench))
+    in
+    let static () =
+      Memo.get t.static_memo front (fun () ->
+          bump t (fun t -> t.static_runs <- t.static_runs + 1);
+          M.incr m_static_runs;
+          Pipeline.disambiguate config (naive ()))
+    in
+    let profile_of kind prog () =
+      Memo.get t.profile_memo (sim, kind) (fun () ->
+          bump t (fun t -> t.profiles <- t.profiles + 1);
+          M.incr m_profiles;
+          Pipeline.profile config (prog ()))
+    in
+    {
+      Pipeline.naive;
+      observed =
+        (fun () ->
+          Memo.get t.observed_memo sim (fun () ->
+              bump t (fun t -> t.observations <- t.observations + 1);
+              M.incr m_observations;
+              Pipeline.observe config (naive ())));
+      static;
+      static_profile = profile_of Pipeline.Static static;
+      naive_profile = profile_of Pipeline.Naive naive;
+    }
+
+  (* Run the tail of the chain for [k] over the shared nodes. *)
+  let assemble t (k : key) config =
+    bump t (fun t ->
+        t.preparations <- t.preparations + 1;
+        if k.kind = Pipeline.Spec then t.spd_runs <- t.spd_runs + 1);
+    M.incr m_preparations;
+    if k.kind = Pipeline.Spec then M.incr m_spd_runs;
+    Pipeline.assemble config k.kind (nodes t k)
+
+  (* A pipeline node.  NAIVE, STATIC and PERFECT do not depend on the
+     memory latency, so they are memoized under latency 0 and every
+     latency's cells share them; the returned record is a view carrying
+     the cell's own latency and configuration, which is all
+     {!Pipeline.cycles} reads of them. *)
   let prepared_cell t (k : key) =
-    Memo.get t.prep_memo k (fun () ->
-        let lowered = lowered t k.bench in
-        bump t (fun t -> t.preparations <- t.preparations + 1);
-        mark m_preparations;
-        Pipeline.prepare ~config:(config_for t k) k.kind lowered)
+    let node = if k.kind = Pipeline.Spec then k else { k with latency = 0 } in
+    let p =
+      Memo.get t.prep_memo node (fun () -> assemble t k (config_for t k))
+    in
+    { p with Pipeline.mem_latency = k.latency; config = config_for t k }
 
   let prepared t ~bench ~latency kind =
-    prepared_cell t { bench; latency; kind; q_fuel = None; q_deadline = None }
+    prepared_cell t
+      { bench; latency; kind; graft = false; spd_params = None;
+        q_fuel = None; q_deadline = None }
 
-  let cycles_cell t (k : key) ~width =
-    Memo.get t.cycles_memo (k, width) (fun () ->
+  (* cycle count of a cell on [width] units; [window] selects the
+     machine whose hardware reorders memory references within that many
+     references (section 2.3) *)
+  let cycles_cell t (k : key) ~width ~window =
+    Memo.get t.cycles_memo (k, width, window) (fun () ->
+        let metric =
+          match window with
+          | None -> "cycles/" ^ width_tag width
+          | Some w -> Printf.sprintf "hw-cycles/w%d/%s" w (width_tag width)
+        in
         protected t ~deadline:(eff_deadline t k)
-          ~key:(cell_key k ^ "/cycles/" ^ width_tag width ^ budget_tag k)
+          ~key:(cell_key k ^ "/" ^ metric ^ budget_tag k)
           (fun () ->
             (* an armed cycles-inflate fault perturbs what we report but
                never what we persist, so the cache stays truthful and
                the slowdown applies to cache hits too *)
             let inflate = Faults.inflate_cycles t.faults in
             let payload =
-              cell_payload t k ^ "|cycles:" ^ width_tag width
+              cell_payload t k ^ "|"
+              ^
+              match window with
+              | None -> "cycles:" ^ width_tag width
+              | Some w -> Printf.sprintf "hw-cycles:w%d:%s" w (width_tag width)
             in
             match disk_read t payload with
             | Some (D_cycles n) -> inflate n
             | _ ->
                 bump t (fun t -> t.simulations <- t.simulations + 1);
-                mark m_simulations;
-                let n = Pipeline.cycles (prepared_cell t k) ~width in
+                M.incr m_simulations;
+                let p = prepared_cell t k in
+                let n =
+                  match window with
+                  | None -> Pipeline.cycles p ~width
+                  | Some window -> Pipeline.hw_cycles p ~window ~width
+                in
                 disk_write t payload (D_cycles n);
                 inflate n))
 
@@ -925,7 +1087,7 @@ module Session = struct
             | Some (D_dynamics d) -> d
             | _ ->
                 bump t (fun t -> t.simulations <- t.simulations + 1);
-                mark m_simulations;
+                M.incr m_simulations;
                 let d = Pipeline.dynamics (prepared_cell t k) in
                 disk_write t payload (D_dynamics d);
                 d))
@@ -946,12 +1108,12 @@ module Session = struct
                 p.Pipeline.decisions))
 
   (* the translation-validation ledger of a cell's SPEC applications;
-     prepared under its own [validate = true] configuration.  Validation
-     is excluded from the config fingerprint (it never changes the
-     prepared program), so the ledger is addressed by the shared cell
-     payload plus its own suffix; the preparation itself is charged
-     separately from [prepared_cell]'s, because a raising verdict must
-     fail only this cell. *)
+     its own heuristic run under [validate = true], over the shared
+     STATIC, profile and observation nodes.  Validation is excluded from
+     the config fingerprint (it never changes the prepared program), so
+     the ledger is addressed by the shared cell payload plus its own
+     suffix; the run is charged separately from [prepared_cell]'s,
+     because a raising verdict must fail only this cell. *)
   let verdicts_cell t (k : key) =
     Memo.get t.verdicts_memo k (fun () ->
         protected t ~deadline:(eff_deadline t k)
@@ -961,13 +1123,10 @@ module Session = struct
             match disk_read t payload with
             | Some (D_verdicts vs) -> vs
             | _ ->
-                let lowered = lowered t k.bench in
-                bump t (fun t -> t.preparations <- t.preparations + 1);
-                mark m_preparations;
-                let config =
-                  { (config_for t k) with Pipeline.Config.validate = true }
+                let p =
+                  assemble t k
+                    { (config_for t k) with Pipeline.Config.validate = true }
                 in
-                let p = Pipeline.prepare ~config k.kind lowered in
                 disk_write t payload (D_verdicts p.Pipeline.verdicts);
                 p.Pipeline.verdicts))
 
@@ -985,19 +1144,27 @@ module Session = struct
      deduplication included — falls out of the per-cell promises. *)
 
   let submit t (q : Query.t) : value outcome =
-    mark m_queries;
+    M.incr m_queries;
     let k kind =
       {
         bench = q.Query.bench;
         latency = q.Query.latency;
         kind;
+        graft = q.Query.graft;
+        spd_params =
+          (if kind = Pipeline.Spec then q.Query.spd_params else None);
         q_fuel = q.Query.fuel;
         q_deadline = q.Query.deadline;
       }
     in
+    let cycles kind ~width = cycles_cell t (k kind) ~width ~window:None in
     match q.Query.artefact with
     | Query.Cycles { kind; width } ->
-        map_outcome (fun n -> Int n) (cycles_cell t (k kind) ~width)
+        map_outcome (fun n -> Int n) (cycles kind ~width)
+    | Query.Hw_cycles { window; width } ->
+        map_outcome
+          (fun n -> Int n)
+          (cycles_cell t (k Pipeline.Static) ~width ~window:(Some window))
     | Query.Code_size kind ->
         map_outcome (fun (code_size, _) -> Int code_size)
           (summary_cell t (k kind))
@@ -1018,15 +1185,13 @@ module Session = struct
     | Query.Speedup_over_naive { kind; width } ->
         map_outcome
           (fun (base, this) -> Float (Pipeline.speedup ~base ~this))
-          (pair_outcome
-             (cycles_cell t (k Pipeline.Naive) ~width)
-             (cycles_cell t (k kind) ~width))
+          (pair_outcome (cycles Pipeline.Naive ~width) (cycles kind ~width))
     | Query.Spec_over_static { width } ->
         map_outcome
           (fun (base, this) -> Float (Pipeline.speedup ~base ~this))
           (pair_outcome
-             (cycles_cell t (k Pipeline.Static) ~width)
-             (cycles_cell t (k Pipeline.Spec) ~width))
+             (cycles Pipeline.Static ~width)
+             (cycles Pipeline.Spec ~width))
     | Query.Code_growth ->
         map_outcome
           (fun ((base, _), (spec, _)) ->

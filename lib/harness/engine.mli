@@ -26,6 +26,17 @@
     on-disk cache is self-healing — corrupt or truncated entries are
     detected by checksum, evicted and recomputed.
 
+    Cells are computed from a DAG of memoized stage nodes, each keyed
+    by exactly its inputs: the lowered program per workload; the
+    cleaned (NAIVE) and statically disambiguated (STATIC) programs per
+    (workload, graft); the NAIVE observation every correctness check
+    compares with and the NAIVE and STATIC profiles per (workload,
+    graft, budget); the NAIVE, STATIC and PERFECT pipelines per
+    (workload, graft, budget); and SPEC, the only latency-dependent
+    preparation, per (workload, graft, latency, heuristic parameters,
+    budget).  Each node is computed once per session, whichever
+    pipeline, latency or request asks for it first.
+
     Results are deterministic in the number of jobs: the schedule
     changes only who computes a value, never the value. *)
 
@@ -33,12 +44,6 @@
     entry format change in a way that affects emitted numbers or
     decoding; invalidates the on-disk cache. *)
 val cache_version : string
-
-(** Force registration of the engine-level counters — including the
-    [spd.cache.{hit,miss,evict}] aliases surfaced by [spd cache stats]
-    — so a metrics snapshot carries them before any cell fires them
-    ([spd serve] calls this at startup). *)
-val register_metrics : unit -> unit
 
 (** {1 Per-cell outcomes} *)
 
@@ -71,6 +76,10 @@ module Query : sig
   type artefact =
     | Cycles of { kind : Pipeline.kind; width : Spd_machine.Descr.width }
         (** measured cycle count (disk-cacheable) *)
+    | Hw_cycles of { window : int; width : Spd_machine.Descr.width }
+        (** cycle count of the STATIC program on a machine whose
+            load/store hardware reorders memory references within
+            [window] references (section 2.3; disk-cacheable) *)
     | Code_size of Pipeline.kind
         (** static code size in operations (disk-cacheable) *)
     | Spd_counts
@@ -94,6 +103,12 @@ module Query : sig
     bench : string;  (** built-in workload name *)
     latency : int;  (** memory latency in cycles (paper: 2 and 6) *)
     artefact : artefact;
+    graft : bool;
+        (** the program with its loop trees grafted (paper section 7) *)
+    spd_params : Spd_core.Heuristic.params option;
+        (** SpD guidance-heuristic parameters; [None] is
+            {!Spd_core.Heuristic.default_params}, and [v] maps an explicit
+            default to [None].  Affects SPEC cells only. *)
     fuel : int option;
         (** per-request traversal quota; tightens the session budget *)
     deadline : float option;
@@ -101,31 +116,39 @@ module Query : sig
             session budget *)
   }
 
-  (** Build a query.  Raises [Invalid_argument] on a non-positive
-      [latency], [fuel] or [deadline]. *)
+  (** Build a query.  [graft] (default [false]) and [spd_params]
+      (default {!Spd_core.Heuristic.default_params}) select the program
+      variant of the extension studies; they override the session
+      configuration's fields of the same name.  Raises
+      [Invalid_argument] on a non-positive [latency], [fuel], [deadline]
+      or [Hw_cycles] window. *)
   val v :
     ?fuel:int ->
     ?deadline:float ->
+    ?graft:bool ->
+    ?spd_params:Spd_core.Heuristic.params ->
     bench:string -> latency:int -> artefact -> t
 
-  (** Stable lowercase artefact-kind name ([cycles], [code-size],
-      [spd-counts], [spd-dynamics], [spd-decisions], [spd-validate],
-      [speedup-over-naive], [spec-over-static], [code-growth]) — the
-      wire spelling of the [spd serve] protocol. *)
+  (** Stable lowercase artefact-kind name ([cycles], [hw-cycles],
+      [code-size], [spd-counts], [spd-dynamics], [spd-decisions],
+      [spd-validate], [speedup-over-naive], [spec-over-static],
+      [code-growth]) — the wire spelling of the [spd serve] protocol. *)
   val artefact_name : artefact -> string
 
   (** All artefact-kind names, for diagnostics. *)
   val artefact_names : string list
 
   (** Canonical human-readable request key,
-      [bench/latency/artefact[/KIND][/width][+fuel=N][+deadline=S]]. *)
+      [bench/latency/artefact[/KIND][/width][+graft][+me=X+mg=Y+ma=N]
+      [+fuel=N][+deadline=S]]; a paper-grid query carries no variant
+      tag. *)
   val key : t -> string
 end
 
 (** The result of a query: what kind of value it carries follows the
     query's {!Query.artefact} (asserted by the [to_*] projections). *)
 type value =
-  | Int of int  (** [Cycles], [Code_size] *)
+  | Int of int  (** [Cycles], [Hw_cycles], [Code_size] *)
   | Float of float
       (** [Speedup_over_naive], [Spec_over_static], [Code_growth] *)
   | Counts of int * int * int  (** [Spd_counts]: RAW, WAR, WAW *)
@@ -151,8 +174,23 @@ module Stats : sig
   type t = {
     jobs : int;  (** pool size of the session *)
     lowerings : int;  (** source programs compiled to IR *)
-    preparations : int;  (** pipelines actually run (not cache hits) *)
+    preparations : int;
+        (** pipelines actually run (not cache hits): NAIVE, STATIC and
+            PERFECT once per (workload, graft, budget), SPEC once per
+            latency and heuristic parameters too, plus one per
+            validation ledger *)
     simulations : int;  (** schedule+simulate runs actually performed *)
+    observations : int;
+        (** NAIVE ground-truth observations run: one per (workload,
+            graft, budget), shared by every check *)
+    static_runs : int;
+        (** static disambiguations run, one per (workload, graft) *)
+    profiles : int;
+        (** profiling runs: one of NAIVE and one of STATIC per (workload,
+            graft, budget) at most *)
+    spd_runs : int;
+        (** SpD heuristic runs: one per (workload, graft, latency,
+            parameters, budget), plus one per validation ledger *)
     disk_hits : int;  (** results served from the on-disk cache *)
     disk_misses : int;  (** on-disk lookups that fell through *)
     disk_evictions : int;
@@ -198,8 +236,9 @@ module Session : sig
       armed [fuel:<n>] fault overrides [fuel].
 
       [config] is the pipeline configuration every cell is built with;
-      its [mem_latency] is overridden per cell and its [timer], if any,
-      is composed with the session's stage instrumentation. *)
+      its [mem_latency], [graft] and [spd_params] are overridden per
+      cell (from the {!Query.t}) and its [timer], if any, is composed
+      with the session's stage instrumentation. *)
   val create :
     ?jobs:int ->
     ?disk_cache:bool ->
@@ -236,14 +275,17 @@ module Session : sig
   (** {1 Pipeline materialization}
 
     The two compile-stage accessors that return in-memory artefacts
-    rather than {!value}s — used by {!Explain} and the extension
-    experiments, and not servable over the wire.  Not
-    failure-contained: an unknown benchmark or compile error raises. *)
+    rather than {!value}s — used by {!Explain}, and not servable over
+    the wire.  They read the same memoized stage nodes as {!submit}.
+    Not failure-contained: an unknown benchmark, a compile error or a
+    failed node raises. *)
 
   (** Lowered IR of a built-in benchmark. *)
   val lowered : t -> string -> Spd_ir.Prog.t
 
-  (** Prepared pipeline for a benchmark at a memory latency. *)
+  (** Prepared pipeline for a benchmark at a memory latency (the paper
+      grid's program variant).  NAIVE, STATIC and PERFECT are shared
+      across latencies: the record differs only in its latency fields. *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
 

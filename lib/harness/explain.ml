@@ -1,9 +1,9 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, prepares the STATIC and SPEC pipelines, schedules
-    every SPEC tree on the requested machine, simulates with a profile,
-    and renders three kinds of artefact through the shared {!Table}
-    machinery:
+    For one workload, takes the STATIC and SPEC pipelines from an
+    engine session's memoized stage nodes, schedules every SPEC tree on
+    the requested machine, simulates with a profile, and renders three
+    kinds of artefact through the shared {!Table} machinery:
 
     - per tree, the cycle-by-FU {b occupancy grid}, with guarded SpD
       operations annotated by their alias-predicate version
@@ -63,14 +63,15 @@ let trees_of prog =
   Spd_ir.Prog.iter_trees (fun func tree -> acc := (func, tree) :: !acc) prog;
   List.rev !acc
 
-(** Analyze [workload] on a [width]-unit machine.  Raises
+(** Analyze [workload] on a [width]-unit machine, reading its STATIC and
+    SPEC preparations from the session's stage nodes.  Raises
     [Invalid_argument] for an unknown workload name. *)
-let analyze ?(width = 5) ?(mem_latency = 2) workload : t =
-  let w = W.Registry.by_name workload in
-  let lowered = Spd_lang.Lower.compile w.W.Workload.source in
-  let config = Pipeline.Config.v ~mem_latency () in
-  let static = Pipeline.prepare ~config Pipeline.Static lowered in
-  let spec = Pipeline.prepare ~config Pipeline.Spec lowered in
+let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
+  let prepared =
+    Engine.Session.prepared session ~bench:workload ~latency:mem_latency
+  in
+  let static = prepared Pipeline.Static in
+  let spec = prepared Pipeline.Spec in
   let descr = Descr.fus width ~mem_latency in
   let timing = Spd_machine.Timing_builder.program descr spec.Pipeline.prog in
   let profile = Spd_sim.Profile.create () in

@@ -1,8 +1,8 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, prepares the STATIC and SPEC pipelines, schedules
-    every SPEC tree on the requested machine, simulates with a profile,
-    and renders cycle-by-FU occupancy grids, critical-path attributions
+    For one workload, takes the STATIC and SPEC pipelines from an
+    engine session's stage nodes, schedules every SPEC tree on the
+    requested machine, simulates with a profile, and renders cycle-by-FU occupancy grids, critical-path attributions
     ({!Spd_machine.Critpath}) and a program-wide per-region table whose
     cycle column sums exactly to the simulator's reported total. *)
 
@@ -36,9 +36,12 @@ type t = {
 }
 
 (** Analyze [workload] on a [width]-unit machine (default 5 FUs,
-    2-cycle memory).  Raises [Invalid_argument] for an unknown workload
-    name. *)
-val analyze : ?width:int -> ?mem_latency:int -> string -> t
+    2-cycle memory), with the STATIC and SPEC preparations of the
+    session's stage nodes ({!Engine.Session.prepared}), so repeated
+    requests prepare nothing twice.  Raises [Invalid_argument] for an
+    unknown workload name. *)
+val analyze :
+  ?width:int -> ?mem_latency:int -> Engine.Session.t -> string -> t
 
 (** The trees matching the [--fn] / [--tree] filters. *)
 val selected : ?fn:string -> ?tree:int -> t -> tree_view list

@@ -17,34 +17,44 @@
 
 module W = Spd_workloads
 module H = Spd_core.Heuristic
+module Query = Engine.Query
 
+(* Every extension reads the 5-FU machine with 6-cycle memory, through
+   the engine's request path: its cells are memoized, disk-cached and
+   failure-contained like the paper grid's, and share the grid's stage
+   nodes (and, where the program variant coincides, its cells). *)
+let latency = 6
+let width = Spd_machine.Descr.Fus 5
+
+let submit ?graft ?spd_params s ~bench artefact =
+  Engine.Session.submit s (Query.v ?graft ?spd_params ~bench ~latency artefact)
+
+let cycles ?graft ?spd_params s ~bench kind =
+  Engine.to_int
+    (submit ?graft ?spd_params s ~bench (Query.Cycles { kind; width }))
+
+let speedup ~base this =
+  match (base, this) with
+  | Engine.Ok base, Engine.Ok this -> Table.Pct (Pipeline.speedup ~base ~this)
+  | _ -> Table.Na
+
+(* one row per input, computed on the session's domain pool *)
 let rows s f xs = Engine.Session.parallel_map s f xs
+
+let names ws = List.map (fun (w : W.Workload.t) -> w.name) ws
 
 (* ------------------------------------------------------------------ *)
 
 (** Extension A: SPEC vs hardware dynamic disambiguation windows. *)
 let ext_dynamic_tables s =
-  let latency = 6 in
-  let width = Spd_machine.Descr.Fus 5 in
-  let data =
-    rows s
-      (fun (w : W.Workload.t) ->
-        let bench = w.name in
-        let static =
-          Engine.Session.prepared s ~bench ~latency Pipeline.Static
-        in
-        let base = Pipeline.cycles static ~width in
-        let hw window =
-          Spd_machine.Dynamic.cycles ~window ~width ~mem_latency:latency
-            static.prog
-        in
-        let spec =
-          Engine.Session.cycles s ~bench ~latency Pipeline.Spec ~width
-        in
-        let frac c = Pipeline.speedup ~base ~this:c in
-        ( bench,
-          [ frac (hw 2); frac (hw 4); frac (hw 8); frac (hw 32); frac spec ] ))
-      W.Registry.all
+  let row bench =
+    let base = cycles s ~bench Pipeline.Static in
+    let hw window =
+      Engine.to_int (submit s ~bench (Query.Hw_cycles { window; width }))
+    in
+    Table.row bench
+      (List.map (fun w -> speedup ~base (hw w)) [ 2; 4; 8; 32 ]
+      @ [ speedup ~base (cycles s ~bench Pipeline.Spec) ])
   in
   [
     Table.v ~id:"ext_dynamic"
@@ -58,35 +68,25 @@ let ext_dynamic_tables s =
         ]
       ~label_header:"Program"
       ~columns:[ "HW W=2"; "HW W=4"; "HW W=8"; "HW W=32"; "SPEC" ]
-      (List.map
-         (fun (bench, fracs) ->
-           Table.row bench (List.map (fun f -> Table.Pct f) fracs))
-         data);
+      (rows s row (names W.Registry.all));
   ]
 
 (* ------------------------------------------------------------------ *)
 
 (** Extension B: the effect of tree grafting (loop unrolling) on SpD. *)
 let ext_grafting_tables s =
-  let latency = 6 in
-  let width = Spd_machine.Descr.Fus 5 in
-  let data =
-    rows s
-      (fun (w : W.Workload.t) ->
-        let lowered = Engine.Session.lowered s w.name in
-        let measure ~graft =
-          let config = Pipeline.Config.v ~graft ~mem_latency:latency () in
-          let static = Pipeline.prepare ~config Pipeline.Static lowered in
-          let spec = Pipeline.prepare ~config Pipeline.Spec lowered in
-          ( List.length spec.applications,
-            Pipeline.speedup
-              ~base:(Pipeline.cycles static ~width)
-              ~this:(Pipeline.cycles spec ~width) )
-        in
-        let apps0, s0 = measure ~graft:false in
-        let apps1, s1 = measure ~graft:true in
-        (w.name, apps0, s0, apps1, s1))
-      W.Registry.all
+  let measure ~graft bench =
+    let apps =
+      match Engine.to_counts (submit ~graft s ~bench Query.Spd_counts) with
+      | Engine.Ok (raw, war, waw) -> Table.Int (raw + war + waw)
+      | Engine.Failed _ -> Table.Na
+    in
+    [
+      apps;
+      speedup
+        ~base:(cycles ~graft s ~bench Pipeline.Static)
+        (cycles ~graft s ~bench Pipeline.Spec);
+    ]
   in
   [
     Table.v ~id:"ext_grafting"
@@ -100,51 +100,50 @@ let ext_grafting_tables s =
       ~label_header:"Program"
       ~groups:[ ("ungrafted", 2); ("grafted", 2) ]
       ~columns:[ "apps"; "SPEC"; "apps"; "SPEC+graft" ]
-      (List.map
-         (fun (name, apps0, s0, apps1, s1) ->
-           Table.row name
-             [ Table.Int apps0; Table.Pct s0; Table.Int apps1; Table.Pct s1 ])
-         data);
+      (rows s
+         (fun bench ->
+           Table.row bench
+             (measure ~graft:false bench @ measure ~graft:true bench))
+         (names W.Registry.all));
   ]
 
 (* ------------------------------------------------------------------ *)
 
 (** Extension C: guidance heuristic parameter ablation. *)
 let ext_params_tables s =
-  let latency = 6 in
-  let width = Spd_machine.Descr.Fus 5 in
-  let measure params =
-    let speedups, growths =
-      List.split
-        (List.map
-           (fun (w : W.Workload.t) ->
-             let lowered = Engine.Session.lowered s w.name in
-             let static =
-               Pipeline.prepare
-                 ~config:(Pipeline.Config.v ~mem_latency:latency ())
-                 Pipeline.Static lowered
-             in
-             let spec =
-               Pipeline.prepare
-                 ~config:
-                   (Pipeline.Config.v ~spd_params:params
-                      ~mem_latency:latency ())
-                 Pipeline.Spec lowered
-             in
-             ( 1.0
-               +. Pipeline.speedup
-                    ~base:(Pipeline.cycles static ~width)
-                    ~this:(Pipeline.cycles spec ~width),
-               float_of_int (Pipeline.code_size spec)
-               /. float_of_int (Pipeline.code_size static) ))
-           W.Registry.nrc)
+  (* per NRC workload: SPEC's speedup factor over STATIC and its code
+     size relative to STATIC's; [n/a] when any of their cells failed *)
+  let measure spd_params =
+    let per_bench bench =
+      let size kind =
+        Engine.to_int (submit ~spd_params s ~bench (Query.Code_size kind))
+      in
+      match
+        ( cycles s ~bench Pipeline.Static,
+          cycles ~spd_params s ~bench Pipeline.Spec,
+          size Pipeline.Static,
+          size Pipeline.Spec )
+      with
+      | Engine.Ok base, Engine.Ok this, Engine.Ok base_size, Engine.Ok size
+        ->
+          Some
+            ( 1.0 +. Pipeline.speedup ~base ~this,
+              float_of_int size /. float_of_int base_size )
+      | _ -> None
     in
     let geomean xs =
       exp
         (List.fold_left (fun a x -> a +. log x) 0.0 xs
         /. float_of_int (List.length xs))
     in
-    (geomean speedups -. 1.0, geomean growths -. 1.0)
+    match List.map per_bench (names W.Registry.nrc) with
+    | measured when List.mem None measured -> [ Table.Na; Table.Na ]
+    | measured ->
+        let speedups, growths = List.split (List.filter_map Fun.id measured) in
+        [
+          Table.Pct (geomean speedups -. 1.0);
+          Table.Pct (geomean growths -. 1.0);
+        ]
   in
   let sweep to_params values =
     rows s (fun v -> (v, measure (to_params v))) values
@@ -172,8 +171,7 @@ let ext_params_tables s =
         ]
       ~label_header:knob ~columns:[ "speedup"; "code growth" ]
       (List.map
-         (fun (v, (s, g)) ->
-           Table.row (Printf.sprintf "%.2f" v) [ Table.Pct s; Table.Pct g ])
+         (fun (v, cells) -> Table.row (Printf.sprintf "%.2f" v) cells)
          data)
   in
   [

@@ -29,8 +29,10 @@
     v}
 
     [<key>] selects cells by prefix of the engine's cell key,
-    [bench/latency/KIND/...] — e.g. [adi/2/SPEC] hits the preparation,
-    the summary and every cycle measurement of that grid cell.  The
+    [bench/latency/KIND[+variant]/...] — e.g. [adi/2/SPEC] hits the
+    summary and every cycle measurement of that grid cell (and of its
+    extension variants), [adi/6/SPEC+graft] only the grafted ones and
+    [adi/6/SPEC+me=1+] only the MaxExpansion 1 ablation point.  The
     [conn-*] counts are budgets for the chaos harness's synthetic
     clients; [worker-raise] is a hook the serve daemon's workers
     consult once per accepted connection; [checker-raise] is consulted

@@ -30,23 +30,38 @@ let pp ppf k = Fmt.string ppf (name k)
 (* ------------------------------------------------------------------ *)
 (* Pipeline stages, for wall-clock instrumentation. *)
 
-type stage = Lower | Profile | Spd | Schedule | Simulate
+type stage =
+  | Lower
+  | Cleanup
+  | Disambig
+  | Profile
+  | Spd
+  | Check
+  | Schedule
+  | Simulate
 
-let stages = [ Lower; Profile; Spd; Schedule; Simulate ]
+let stages =
+  [ Lower; Cleanup; Disambig; Profile; Spd; Check; Schedule; Simulate ]
 
 let stage_name = function
   | Lower -> "lower"
+  | Cleanup -> "cleanup"
+  | Disambig -> "static"
   | Profile -> "profile"
   | Spd -> "spd"
+  | Check -> "check"
   | Schedule -> "schedule"
   | Simulate -> "simulate"
 
 let stage_index = function
   | Lower -> 0
-  | Profile -> 1
-  | Spd -> 2
-  | Schedule -> 3
-  | Simulate -> 4
+  | Cleanup -> 1
+  | Disambig -> 2
+  | Profile -> 3
+  | Spd -> 4
+  | Check -> 5
+  | Schedule -> 6
+  | Simulate -> 7
 
 (* ------------------------------------------------------------------ *)
 
@@ -83,6 +98,12 @@ module Config = struct
     { check; validate; spd_params; graft; mem_latency; fuel; deadline;
       timer; checker_fault }
 
+  (* the heuristic prepares the same program under [Some default_params]
+     as under [None], so both spell "default" *)
+  let canonical_params = function
+    | Some p when p = Heuristic.default_params -> None
+    | params -> params
+
   (* The canonical encoding of the semantic fields (everything except
      [timer], [checker_fault], [fuel] and [deadline] — the budgets can
      only turn a result into a failure, never change a successfully
@@ -93,7 +114,7 @@ module Config = struct
      ledger itself is cached under its own payload suffix. *)
   let fingerprint t =
     let params =
-      match t.spd_params with
+      match canonical_params t.spd_params with
       | None -> "default"
       | Some (p : Heuristic.params) ->
           Printf.sprintf "me=%h,mg=%h,ma=%d" p.max_expansion p.min_gain
@@ -131,9 +152,9 @@ type prepared = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Decision-ledger counters.  Registered lazily here and forced eagerly
-   by [spd serve], so a metrics snapshot carries them whether or not a
-   SPEC pipeline has been prepared yet. *)
+(* Decision-ledger counters, registered when the module is loaded so a
+   metrics snapshot carries them whether or not a SPEC pipeline has been
+   prepared yet. *)
 
 let rejection_labels =
   [
@@ -143,31 +164,22 @@ let rejection_labels =
     "max-applications"; "max-expansion";
   ]
 
-let heuristic_counters =
-  lazy
-    (let c name = Spd_telemetry.Metrics.counter ("spd.heuristic." ^ name) in
-     ( c "candidates",
-       c "applied",
-       List.map (fun r -> (r, c ("rejected." ^ r))) rejection_labels ))
+let m_candidates, m_applied, m_rejected =
+  let c name = Spd_telemetry.Metrics.counter ("spd.heuristic." ^ name) in
+  ( c "candidates",
+    c "applied",
+    List.map (fun r -> (r, c ("rejected." ^ r))) rejection_labels )
 
-let validate_counters =
-  lazy
-    (let c name = Spd_telemetry.Metrics.counter ("spd.validate." ^ name) in
-     (c "proved", c "refuted", c "unknown"))
+let m_proved, m_refuted, m_unknown =
+  let c name = Spd_telemetry.Metrics.counter ("spd.validate." ^ name) in
+  (c "proved", c "refuted", c "unknown")
 
 let observe_verdict (v : Spd_validate.Verdict.t) =
-  let proved, refuted, unknown = Lazy.force validate_counters in
   Spd_telemetry.Metrics.incr
     (match v with
-    | Spd_validate.Verdict.Proved -> proved
-    | Spd_validate.Verdict.Refuted _ -> refuted
-    | Spd_validate.Verdict.Unknown _ -> unknown)
-
-(** Force registration of the [spd.heuristic.*] and [spd.validate.*]
-    counters. *)
-let register_metrics () =
-  ignore (Lazy.force heuristic_counters);
-  ignore (Lazy.force validate_counters)
+    | Spd_validate.Verdict.Proved -> m_proved
+    | Spd_validate.Verdict.Refuted _ -> m_refuted
+    | Spd_validate.Verdict.Unknown _ -> m_unknown)
 
 (* the counter suffix for a rejection (metric names avoid ':') *)
 let rejection_label : Heuristic.verdict -> string option =
@@ -186,13 +198,12 @@ let rejection_label : Heuristic.verdict -> string option =
   | Heuristic.Rejected_max_expansion -> Some "max-expansion"
 
 let observe_decisions (ds : Heuristic.decision list) =
-  let candidates, applied, rejected = Lazy.force heuristic_counters in
-  Spd_telemetry.Metrics.incr ~by:(List.length ds) candidates;
+  Spd_telemetry.Metrics.incr ~by:(List.length ds) m_candidates;
   List.iter
     (fun (d : Heuristic.decision) ->
       match rejection_label d.verdict with
-      | None -> Spd_telemetry.Metrics.incr applied
-      | Some r -> Spd_telemetry.Metrics.incr (List.assoc r rejected))
+      | None -> Spd_telemetry.Metrics.incr m_applied
+      | Some r -> Spd_telemetry.Metrics.incr (List.assoc r m_rejected))
     ds
 
 (** Profile a program: run it once with instrumentation. *)
@@ -227,101 +238,173 @@ let transform_checker ~func:_ ~(before : Spd_ir.Tree.t)
          (Fmt.str "SpD application on tree %d arc #%d->#%d shrank the tree"
             app.tree_id (fst app.arc) (snd app.arc)))
 
+(* ------------------------------------------------------------------ *)
+(* Stage functions.  Each is one node of the chain
+
+     lowered --cleanup--> NAIVE --+--observe--> observation
+                                  +--static--> STATIC --profile--> P(static)
+                                  +--profile--> P(naive)
+
+   plus the per-kind tail in [assemble].  [config.graft],
+   [config.fuel]/[config.deadline] and [config.timer] are the only
+   fields they read. *)
+
+type observation = Spd_ir.Value.t * Spd_ir.Value.t list
+
+(** Scalar cleanup every pipeline gets — store-to-load forwarding and
+    redundant-load elimination, as in the paper's optimizing compiler —
+    then optional tree grafting (paper section 7: unroll loop trees to
+    expose more ambiguous pairs to SpD), then the all-pairs memory arcs:
+    the NAIVE program. *)
+let clean (config : Config.t) (lowered : Prog.t) : Prog.t =
+  time config Cleanup (fun () ->
+      let cleaned = Spd_analysis.Forwarding.run lowered in
+      let cleaned =
+        if config.graft then Spd_analysis.Unroll.run cleaned else cleaned
+      in
+      Memarcs.annotate cleaned)
+
+(** The observable behaviour of a program: the ground truth every
+    check compares with. *)
+let observe (config : Config.t) (prog : Prog.t) : observation =
+  time config Check (fun () ->
+      Spd_sim.Interp.observe ?fuel:config.fuel ?deadline:config.deadline
+        prog)
+
+(** GCD/Banerjee static disambiguation of the NAIVE program. *)
+let disambiguate (config : Config.t) (naive : Prog.t) : Prog.t =
+  time config Disambig (fun () -> Static.run naive)
+
+let profile (config : Config.t) (prog : Prog.t) : Spd_sim.Profile.t =
+  time config Profile (fun () ->
+      profile_of ?fuel:config.fuel ?deadline:config.deadline prog)
+
+(* The SpD heuristic over the STATIC program, with the composed
+   per-application checker: the armed checker fault (if any), the
+   structural checks, then the symbolic equivalence proof.
+   [Heuristic.run] calls it sequentially within this run, so a plain
+   accumulator is safe. *)
+let speculate (config : Config.t) ~profile static =
+  let { Config.check; validate; spd_params; mem_latency; checker_fault; _ } =
+    config
+  in
+  let acc = ref [] in
+  let fire_fault () = match checker_fault with Some f -> f () | None -> () in
+  let composed ~func ~before app after =
+    fire_fault ();
+    if check then transform_checker ~func ~before app after;
+    if validate then begin
+      let r = Spd_validate.Validate.check_application ~func ~before app after in
+      observe_verdict r.Spd_validate.Validate.verdict;
+      (match r.Spd_validate.Validate.verdict with
+      | Spd_validate.Verdict.Refuted cx ->
+          raise
+            (Validation_failed
+               (Fmt.str
+                  "SpD application on tree %d arc #%d->#%d refuted: %s (seed \
+                   %d)"
+                  app.Heuristic.tree_id (fst app.Heuristic.arc)
+                  (snd app.Heuristic.arc) cx.Spd_validate.Verdict.detail
+                  cx.Spd_validate.Verdict.seed))
+      | Spd_validate.Verdict.Unknown reason ->
+          Spd_telemetry.Log.warn "pipeline.validate.unknown"
+            [
+              ("func", Spd_telemetry.Json.String func);
+              ("tree", Spd_telemetry.Json.Int app.Heuristic.tree_id);
+              ( "reason",
+                Spd_telemetry.Json.String
+                  (Spd_validate.Verdict.reason_text reason) );
+            ]
+      | Spd_validate.Verdict.Proved -> ());
+      acc := r :: !acc
+    end
+  in
+  let checker =
+    if check || validate || checker_fault <> None then Some composed else None
+  in
+  let prog, apps, ds =
+    time config Spd (fun () ->
+        Heuristic.run ~profile ?checker ?params:spd_params ~mem_latency static)
+  in
+  observe_decisions ds;
+  (prog, apps, ds, List.rev !acc)
+
+(** The latency-independent nodes a preparation consumes, each a thunk
+    so a caller decides how they are shared: {!nodes} computes each at
+    most once per program, the engine memoizes them per workload across
+    pipelines, latencies and requests. *)
+type nodes = {
+  naive : unit -> Prog.t;  (** {!clean}ed: the NAIVE program *)
+  observed : unit -> observation;  (** {!observe} of [naive] *)
+  static : unit -> Prog.t;  (** {!disambiguate} of [naive] *)
+  static_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [static] *)
+  naive_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [naive] *)
+}
+
+let nodes (config : Config.t) (lowered : Prog.t) : nodes =
+  let once f =
+    let cell = ref None in
+    fun () ->
+      match !cell with
+      | Some v -> v
+      | None ->
+          let v = f () in
+          cell := Some v;
+          v
+  in
+  let naive = once (fun () -> clean config lowered) in
+  let static = once (fun () -> disambiguate config (naive ())) in
+  {
+    naive;
+    observed = once (fun () -> observe config (naive ()));
+    static;
+    static_profile = once (fun () -> profile config (static ()));
+    naive_profile = once (fun () -> profile config (naive ()));
+  }
+
+(** The per-kind tail of the chain: SPEC runs the heuristic over STATIC
+    with the STATIC profile, PERFECT drops the arcs the NAIVE profile
+    proved superfluous.  [config.check] compares the result's observable
+    behaviour with NAIVE's observation; NAIVE's own check is that
+    observation. *)
+let assemble (config : Config.t) (kind : kind) (n : nodes) : prepared =
+  let prog, applications, decisions, verdicts =
+    match kind with
+    | Naive -> (n.naive (), [], [], [])
+    | Static -> (n.static (), [], [], [])
+    | Spec -> speculate config ~profile:(n.static_profile ()) (n.static ())
+    | Perfect ->
+        let profile = n.naive_profile () in
+        ( time config Disambig (fun () -> Static.perfect ~profile (n.naive ())),
+          [],
+          [],
+          [] )
+  in
+  Prog.validate prog;
+  if config.check then begin
+    let expected = n.observed () in
+    if kind <> Naive && expected <> observe config prog then
+      raise
+        (Behaviour_mismatch
+           (Fmt.str "pipeline %s changed program behaviour" (name kind)))
+  end;
+  {
+    kind;
+    config;
+    mem_latency = config.mem_latency;
+    prog;
+    applications;
+    decisions;
+    verdicts;
+  }
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
     [config] (default {!Config.default}).  [config.check] verifies
     observable equivalence with the unoptimized program — the paper
     validated SpD output the same way. *)
 let prepare ?(config = Config.default) (kind : kind) (lowered : Prog.t) :
     prepared =
-  let { Config.check; validate; spd_params; graft; mem_latency; fuel;
-        deadline; timer = _; checker_fault } =
-    config
-  in
-  (* scalar cleanup every pipeline gets: store-to-load forwarding and
-     redundant-load elimination, as in the paper's optimizing compiler *)
-  let cleaned = Spd_analysis.Forwarding.run lowered in
-  (* optional tree grafting (paper section 7): unroll loop trees to expose
-     more ambiguous pairs to SpD *)
-  let cleaned = if graft then Spd_analysis.Unroll.run cleaned else cleaned in
-  let naive = Memarcs.annotate cleaned in
-  let prog, applications, decisions, verdicts =
-    match kind with
-    | Naive -> (naive, [], [], [])
-    | Static -> (time config Spd (fun () -> Static.run naive), [], [], [])
-    | Spec ->
-        let static = time config Spd (fun () -> Static.run naive) in
-        let profile =
-          time config Profile (fun () -> profile_of ?fuel ?deadline static)
-        in
-        (* The composed per-application checker: the armed checker fault
-           (if any), the structural checks, then the symbolic
-           equivalence proof.  [Heuristic.run] calls it sequentially
-           within this preparation, so a plain accumulator is safe. *)
-        let acc = ref [] in
-        let fire_fault () =
-          match checker_fault with Some f -> f () | None -> ()
-        in
-        let composed ~func ~before app after =
-          fire_fault ();
-          if check then transform_checker ~func ~before app after;
-          if validate then begin
-            let r =
-              Spd_validate.Validate.check_application ~func ~before app after
-            in
-            observe_verdict r.Spd_validate.Validate.verdict;
-            (match r.Spd_validate.Validate.verdict with
-            | Spd_validate.Verdict.Refuted cx ->
-                raise
-                  (Validation_failed
-                     (Fmt.str
-                        "SpD application on tree %d arc #%d->#%d refuted: \
-                         %s (seed %d)"
-                        app.Heuristic.tree_id
-                        (fst app.Heuristic.arc)
-                        (snd app.Heuristic.arc)
-                        cx.Spd_validate.Verdict.detail
-                        cx.Spd_validate.Verdict.seed))
-            | Spd_validate.Verdict.Unknown reason ->
-                Spd_telemetry.Log.warn "pipeline.validate.unknown"
-                  [
-                    ("func", Spd_telemetry.Json.String func);
-                    ( "tree",
-                      Spd_telemetry.Json.Int app.Heuristic.tree_id );
-                    ( "reason",
-                      Spd_telemetry.Json.String
-                        (Spd_validate.Verdict.reason_text reason) );
-                  ]
-            | Spd_validate.Verdict.Proved -> ());
-            acc := r :: !acc
-          end
-        in
-        let checker =
-          if check || validate || checker_fault <> None then Some composed
-          else None
-        in
-        let prog, apps, ds =
-          time config Spd (fun () ->
-              Heuristic.run ~profile ?checker ?params:spd_params ~mem_latency
-                static)
-        in
-        observe_decisions ds;
-        (prog, apps, ds, List.rev !acc)
-    | Perfect ->
-        let profile =
-          time config Profile (fun () -> profile_of ?fuel ?deadline naive)
-        in
-        (time config Spd (fun () -> Static.perfect ~profile naive), [], [], [])
-  in
-  Prog.validate prog;
-  if check then begin
-    let expected = Spd_sim.Interp.observe ?fuel ?deadline naive in
-    let got = Spd_sim.Interp.observe ?fuel ?deadline prog in
-    if expected <> got then
-      raise
-        (Behaviour_mismatch
-           (Fmt.str "pipeline %s changed program behaviour" (name kind)))
-  end;
-  { kind; config; mem_latency; prog; applications; decisions; verdicts }
+  assemble config kind (nodes config lowered)
 
 (** Cycle count of a prepared program on [width] functional units. *)
 let cycles (p : prepared) ~(width : Spd_machine.Descr.width) : int =
@@ -336,6 +419,15 @@ let cycles (p : prepared) ~(width : Spd_machine.Descr.width) : int =
        Spd_sim.Interp.run ~timing ?fuel:p.config.fuel
          ?deadline:p.config.deadline p.prog))
     .cycles
+
+(** Cycle count of a prepared program on [width] functional units whose
+    load/store hardware reorders memory references within a [window]
+    (section 2.3, {!Spd_machine.Dynamic}). *)
+let hw_cycles (p : prepared) ~window ~(width : Spd_machine.Descr.width) :
+    int =
+  time p.config Simulate (fun () ->
+      Spd_machine.Dynamic.cycles ~window ~width ~mem_latency:p.mem_latency
+        p.prog)
 
 (** Static code size in operations (Figure 6-4's metric). *)
 let code_size (p : prepared) : int = Prog.code_size p.prog

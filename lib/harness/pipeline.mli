@@ -21,11 +21,21 @@ val pp : Format.formatter -> kind -> unit
 (** {1 Stages}
 
     The instrumented stages of a pipeline run, in execution order:
-    lowering (performed by the engine before {!prepare}), profiling,
-    the disambiguation transforms (static tests + SpD), scheduling and
-    timed simulation. *)
+    lowering (performed by the engine before {!prepare}), scalar cleanup
+    and memory arcs, static disambiguation (GCD/Banerjee, and PERFECT's
+    superfluous-arc removal), profiling, the SpD heuristic, the
+    observable-behaviour check, scheduling and timed simulation. *)
 
-type stage = Lower | Profile | Spd | Schedule | Simulate
+type stage =
+  | Lower
+  | Cleanup
+  | Disambig
+  | Profile
+  | Spd
+  | Check
+  | Schedule
+  | Simulate
+
 val stages : stage list
 val stage_name : stage -> string
 val stage_index : stage -> int
@@ -88,6 +98,11 @@ module Config : sig
       fingerprints prepare identical programs.  Used by {!Engine}'s
       on-disk cache keys. *)
   val fingerprint : t -> string
+
+  (** [Some Heuristic.default_params] becomes [None]: the two prepare
+      identical programs, so they share fingerprints, query keys and
+      cache entries. *)
+  val canonical_params : Heuristic.params option -> Heuristic.params option
 end
 
 type prepared = {
@@ -103,12 +118,6 @@ type prepared = {
           order (SPEC with [config.validate] only) *)
 }
 
-(** Force registration of the [spd.heuristic.{candidates,applied,
-    rejected.<reason>}] and [spd.validate.{proved,refuted,unknown}]
-    counters, so a metrics snapshot carries them before any SPEC
-    pipeline fires them ([spd serve] calls this at startup). *)
-val register_metrics : unit -> unit
-
 (** Profile a program: run it once with instrumentation. *)
 val profile_of :
   ?fuel:int -> ?deadline:float -> Spd_ir.Prog.t -> Spd_sim.Profile.t
@@ -122,14 +131,75 @@ exception Behaviour_mismatch of string
     protected cell runner contains it to the affected grid cell. *)
 exception Validation_failed of string
 
+(** {1 The stage chain}
+
+    A preparation is a chain of stage nodes.  The latency-independent
+    head is shared by every pipeline of one program:
+
+    {v
+    lowered --clean--> NAIVE --observe--> observation
+                       NAIVE --disambiguate--> STATIC --profile--> P(STATIC)
+                       NAIVE --profile--> P(NAIVE)
+    v}
+
+    and {!assemble} adds the per-kind tail: SPEC runs the SpD heuristic
+    (the only latency-dependent stage) over STATIC with P(STATIC),
+    PERFECT drops the arcs P(NAIVE) proved superfluous.  Each stage
+    function reads only [graft], the budgets and the timer of its
+    configuration, plus [mem_latency], [spd_params], [check], [validate]
+    and [checker_fault] for the tail. *)
+
+(** Return value and printed output of a run. *)
+type observation = Spd_ir.Value.t * Spd_ir.Value.t list
+
+(** Forwarding and redundant-load elimination, optional grafting
+    ([config.graft]), then all-pairs memory arcs: the NAIVE program. *)
+val clean : Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
+
+(** Run a program for its observable behaviour (a [Check] stage). *)
+val observe : Config.t -> Spd_ir.Prog.t -> observation
+
+(** GCD/Banerjee static disambiguation: NAIVE to STATIC. *)
+val disambiguate : Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
+
+(** Profile a program under the configuration's budgets. *)
+val profile : Config.t -> Spd_ir.Prog.t -> Spd_sim.Profile.t
+
+(** The shared head of the chain for one program, as thunks: the caller
+    decides how they are memoized. *)
+type nodes = {
+  naive : unit -> Spd_ir.Prog.t;  (** {!clean}ed: the NAIVE program *)
+  observed : unit -> observation;  (** {!observe} of [naive] *)
+  static : unit -> Spd_ir.Prog.t;  (** {!disambiguate} of [naive] *)
+  static_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [static] *)
+  naive_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [naive] *)
+}
+
+(** The nodes of one lowered program, each computed at most once, on
+    first use.  Not domain-safe: for one caller's sequential use. *)
+val nodes : Config.t -> Spd_ir.Prog.t -> nodes
+
+(** The per-kind tail of the chain over [nodes].  With [config.check],
+    the prepared program's observable behaviour must equal
+    [nodes.observed] (raises {!Behaviour_mismatch}); for NAIVE the check
+    is that observation itself. *)
+val assemble : Config.t -> kind -> nodes -> prepared
+
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
-    [config] (default {!Config.default}).  [config.check] verifies
-    observable equivalence with the unoptimized program — the paper
-    validated SpD output the same way. *)
+    [config] (default {!Config.default}): [assemble config kind (nodes
+    config lowered)].  [config.check] verifies observable equivalence
+    with the unoptimized program — the paper validated SpD output the
+    same way. *)
 val prepare : ?config:Config.t -> kind -> Spd_ir.Prog.t -> prepared
 
 (** Cycle count of a prepared program on [width] functional units. *)
 val cycles : prepared -> width:Spd_machine.Descr.width -> int
+
+(** Cycle count of a prepared program on [width] functional units whose
+    load/store hardware reorders memory references within a [window]
+    (section 2.3, {!Spd_machine.Dynamic}). *)
+val hw_cycles :
+  prepared -> window:int -> width:Spd_machine.Descr.width -> int
 
 (** Static code size in operations (Figure 6-4's metric). *)
 val code_size : prepared -> int

@@ -46,13 +46,10 @@ type t = {
 }
 
 let m_cycles =
-  lazy
-    (List.map
-       (fun c ->
-         ( c,
-           Spd_telemetry.Metrics.counter
-             ("spd.critpath.cycles." ^ category_name c) ))
-       categories)
+  List.map
+    (fun c ->
+      (c, Spd_telemetry.Metrics.counter ("spd.critpath.cycles." ^ category_name c)))
+    categories
 
 (* Preference order when several predecessor edges tie as the latest
    constraint: surface ambiguous memory arcs first (they are what SpD is
@@ -147,6 +144,6 @@ let analyze (s : Schedule.t) : t =
     (fun (c, n) ->
       if n > 0 then
         Spd_telemetry.Metrics.incr ~by:n
-          (List.assoc c (Lazy.force m_cycles)))
+          (List.assoc c m_cycles))
     by_category;
   { span; path = !path; steps = !steps; by_category }

@@ -27,13 +27,12 @@ type t = {
   length : int;  (** schedule length: last issue cycle + 1 *)
 }
 
-let m_schedules = lazy (Spd_telemetry.Metrics.counter "spd.scheduler.schedules")
+let m_schedules = Spd_telemetry.Metrics.counter "spd.scheduler.schedules"
 
 let m_occupancy =
-  lazy
-    (Spd_telemetry.Metrics.histogram
-       ~buckets:Spd_telemetry.Metrics.fraction_buckets
-       "spd.scheduler.fu_occupancy")
+  Spd_telemetry.Metrics.histogram
+    ~buckets:Spd_telemetry.Metrics.fraction_buckets
+    "spd.scheduler.fu_occupancy"
 
 (* ------------------------------------------------------------------ *)
 (* Priority heap *)
@@ -213,11 +212,11 @@ let run ?fus (g : Ddg.t) : t =
             else !cycle + 1
       done);
   let length = Array.fold_left max (-1) issue + 1 in
-  Spd_telemetry.Metrics.incr (Lazy.force m_schedules);
+  Spd_telemetry.Metrics.incr m_schedules;
   (match fus with
   | Some fus when length > 0 ->
       (* fraction of issue slots the packed schedule actually fills *)
-      Spd_telemetry.Metrics.observe (Lazy.force m_occupancy)
+      Spd_telemetry.Metrics.observe m_occupancy
         (float_of_int n /. float_of_int (fus * length))
   | _ -> ());
   { issue; fu; length }

@@ -54,34 +54,30 @@ let methods =
     "micro"; "run"; "metrics"; "metrics_prom"; "stats"; "shutdown";
   ]
 
-let m_requests = lazy (Metrics.counter "spd.serve.requests")
-let m_errors = lazy (Metrics.counter "spd.serve.errors")
-let m_conn_timeout = lazy (Metrics.counter "spd.serve.conn.timeout")
-let m_worker_restart = lazy (Metrics.counter "spd.serve.worker.restart")
-let m_rejected = lazy (Metrics.counter "spd.serve.admission.rejected")
+let m_requests = Metrics.counter "spd.serve.requests"
+let m_errors = Metrics.counter "spd.serve.errors"
+let m_conn_timeout = Metrics.counter "spd.serve.conn.timeout"
+let m_worker_restart = Metrics.counter "spd.serve.worker.restart"
+let m_rejected = Metrics.counter "spd.serve.admission.rejected"
 
 let m_request_seconds =
-  lazy
-    (Metrics.histogram ~buckets:Metrics.time_buckets
-       "spd.serve.request_seconds")
+  Metrics.histogram ~buckets:Metrics.time_buckets "spd.serve.request_seconds"
 
 (* Per-method latency histograms, one per known method plus "other"
    for garbage method names — a fixed set, so a client inventing
    method names cannot grow the registry without bound. *)
 let m_rpc_latency =
-  lazy
-    (List.map
-       (fun m ->
-         ( m,
-           Metrics.histogram ~buckets:Metrics.time_buckets
-             ("spd.serve.rpc.latency." ^ m) ))
-       ("other" :: methods))
+  List.map
+    (fun m ->
+      ( m,
+        Metrics.histogram ~buckets:Metrics.time_buckets
+          ("spd.serve.rpc.latency." ^ m) ))
+    ("other" :: methods)
 
 let rpc_latency meth =
-  let hists = Lazy.force m_rpc_latency in
-  match List.assoc_opt meth hists with
+  match List.assoc_opt meth m_rpc_latency with
   | Some h -> h
-  | None -> List.assoc "other" hists
+  | None -> List.assoc "other" m_rpc_latency
 
 (* Request ids: unique for a daemon's lifetime, prefixed with the pid
    so ids stay distinguishable when several daemons' logs are
@@ -263,6 +259,11 @@ let query_of_params p =
     match req_string "artefact" p with
     | "cycles" ->
         Query.Cycles { kind = kind_for "cycles"; width = width_for "cycles" }
+    | "hw-cycles" -> (
+        match opt_pos_int "window" p with
+        | Some window ->
+            Query.Hw_cycles { window; width = width_for "hw-cycles" }
+        | None -> bad "artefact \"hw-cycles\" needs a \"window\"")
     | "code-size" -> Query.Code_size (kind_for "code-size")
     | "spd-counts" -> Query.Spd_counts
     | "spd-dynamics" -> Query.Spd_dynamics
@@ -447,7 +448,7 @@ let dispatch t meth params : Json.t =
       in
       let fn = opt_string "fn" p in
       let tree = opt_nat "tree" p in
-      let e = Explain.analyze ~width ~mem_latency workload in
+      let e = Explain.analyze ~width ~mem_latency t.session workload in
       if Explain.selected ?fn ?tree e = [] then
         bad "no tree of %S matches the fn/tree filter" workload;
       Explain.to_json ?fn ?tree e
@@ -611,19 +612,19 @@ let respond t ~id req : Json.t * bool =
   Context.with_id rid @@ fun () ->
   match Option.bind (Json.member "method" req) Json.to_string_opt with
   | None ->
-      Metrics.incr (Lazy.force m_errors);
+      Metrics.incr m_errors;
       Log.warn "rpc.invalid" [];
       ( Protocol.response_error ~rid ~id ~code:Protocol.invalid_request
           "request has no \"method\" member",
         false )
   | Some meth ->
-      Metrics.incr (Lazy.force m_requests);
+      Metrics.incr m_requests;
       let t0 = Clock.now () in
       let stages0 =
         match t.slow_ms with None -> [] | Some _ -> stage_totals t
       in
       let err code msg =
-        Metrics.incr (Lazy.force m_errors);
+        Metrics.incr m_errors;
         Protocol.response_error ~rid ~id ~code msg
       in
       let params = Json.member "params" req in
@@ -645,7 +646,7 @@ let respond t ~id req : Json.t * bool =
             | None -> err Protocol.server_error (Printexc.to_string e))
       in
       let dt = Clock.now () -. t0 in
-      Metrics.observe (Lazy.force m_request_seconds) dt;
+      Metrics.observe m_request_seconds dt;
       Metrics.observe (rpc_latency meth) dt;
       let ok = Json.member "result" resp <> None in
       Log.info "rpc"
@@ -789,7 +790,7 @@ let handle_conn t fd =
       (* slow-loris eviction: no response, the peer used up its frame
          deadline *)
       Atomic.incr t.timeouts;
-      Metrics.incr (Lazy.force m_conn_timeout);
+      Metrics.incr m_conn_timeout;
       Log.warn "conn.evicted"
         [
           ("reason", Json.String "frame deadline");
@@ -856,7 +857,7 @@ let worker_main t =
         | () -> ()
         | exception e when Atomic.get t.state <> Stopped ->
             Atomic.incr t.restarts;
-            Metrics.incr (Lazy.force m_worker_restart);
+            Metrics.incr m_worker_restart;
             Log.err "worker.restart"
               [
                 ("error", Json.String (Printexc.to_string e));
@@ -872,7 +873,7 @@ let worker_main t =
 
 let refuse_busy t fd =
   Atomic.incr t.rejected;
-  Metrics.incr (Lazy.force m_rejected);
+  Metrics.incr m_rejected;
   let rid = fresh_rid () in
   Log.warn "conn.refused"
     [
@@ -1011,19 +1012,6 @@ let start ?(workers = 4) ?(conn_timeout = 30.0) ?(drain_deadline = 10.0)
      block *)
   Unix.set_nonblock wake_w;
   Unix.set_nonblock dead_w;
-  (* register every serve metric up front, so a metrics snapshot
-     carries the counters whether or not they have fired *)
-  ignore (Lazy.force m_requests);
-  ignore (Lazy.force m_errors);
-  ignore (Lazy.force m_request_seconds);
-  ignore (Lazy.force m_conn_timeout);
-  ignore (Lazy.force m_worker_restart);
-  ignore (Lazy.force m_rejected);
-  ignore (Lazy.force m_rpc_latency);
-  (* harness-level counters too: the heuristic-decision and disk-cache
-     families must appear in scrapes before the first cell computes *)
-  Pipeline.register_metrics ();
-  Engine.register_metrics ();
   let t =
     {
       addr;

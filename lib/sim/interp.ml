@@ -491,14 +491,10 @@ module Mempool = struct
 end
 
 (* registered once; sharded, so hot-loop-free bumping is cheap *)
-let m_runs = lazy (Spd_telemetry.Metrics.counter "spd.sim.runs")
-let m_traversals = lazy (Spd_telemetry.Metrics.counter "spd.sim.traversals")
-
-let m_replay_hits =
-  lazy (Spd_telemetry.Metrics.counter "spd.sim.replay_hits")
-
-let m_replay_misses =
-  lazy (Spd_telemetry.Metrics.counter "spd.sim.replay_misses")
+let m_runs = Spd_telemetry.Metrics.counter "spd.sim.runs"
+let m_traversals = Spd_telemetry.Metrics.counter "spd.sim.traversals"
+let m_replay_hits = Spd_telemetry.Metrics.counter "spd.sim.replay_hits"
+let m_replay_misses = Spd_telemetry.Metrics.counter "spd.sim.replay_misses"
 
 let run ?timing ?(traversal_cost : traversal_cost option)
     ?(profile : Profile.t option) ?(spd : Profile.Spd.t option)
@@ -1004,13 +1000,13 @@ let run ?timing ?(traversal_cost : traversal_cost option)
             tree_id := frame.resume)
     | XGen -> generic_transition ct.tree rf !taken
   done;
-  Spd_telemetry.Metrics.incr (Lazy.force m_runs);
-  Spd_telemetry.Metrics.incr ~by:!traversals (Lazy.force m_traversals);
+  Spd_telemetry.Metrics.incr m_runs;
+  Spd_telemetry.Metrics.incr ~by:!traversals m_traversals;
   if !replay_hits > 0 then
-    Spd_telemetry.Metrics.incr ~by:!replay_hits (Lazy.force m_replay_hits);
+    Spd_telemetry.Metrics.incr ~by:!replay_hits m_replay_hits;
   if !replay_misses > 0 then
     Spd_telemetry.Metrics.incr ~by:!replay_misses
-      (Lazy.force m_replay_misses);
+      m_replay_misses;
   {
     ret = Option.get !finished;
     output = List.rev !output;

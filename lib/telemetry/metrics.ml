@@ -11,7 +11,7 @@
     Snapshots are deterministically ordered (sorted by metric name), so
     rendered output is stable across job counts and platforms. *)
 
-let shards = 64  (* power of two; domains hash into cells *)
+let shards = 8  (* power of two; domains hash into cells *)
 let shard () = (Domain.self () :> int) land (shards - 1)
 
 type counter = { c_cells : int Atomic.t array }
@@ -126,15 +126,6 @@ type snapshot = (string * value) list
 let counter_value (c : counter) =
   Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_cells
 
-let hist_of_shard (h : histogram) s : hist =
-  let counts = Array.map Atomic.get h.h_counts.(s) in
-  {
-    buckets = Array.copy h.bounds;
-    counts;
-    count = Array.fold_left ( + ) 0 counts;
-    sum = Atomic.get h.h_sums.(s);
-  }
-
 (** Merge two histogram snapshots over the same buckets (associative and
     commutative up to float-addition rounding of [sum]). *)
 let merge_hist (a : hist) (b : hist) : hist =
@@ -147,12 +138,22 @@ let merge_hist (a : hist) (b : hist) : hist =
     sum = a.sum +. b.sum;
   }
 
+(* [merge_hist] folded over the shards, summed in place *)
 let hist_value (h : histogram) : hist =
-  let acc = ref (hist_of_shard h 0) in
-  for s = 1 to shards - 1 do
-    acc := merge_hist !acc (hist_of_shard h s)
+  let counts = Array.make (Array.length h.bounds + 1) 0 in
+  let sum = ref 0.0 in
+  for s = 0 to shards - 1 do
+    Array.iteri
+      (fun i a -> counts.(i) <- counts.(i) + Atomic.get a)
+      h.h_counts.(s);
+    sum := !sum +. Atomic.get h.h_sums.(s)
   done;
-  !acc
+  {
+    buckets = Array.copy h.bounds;
+    counts;
+    count = Array.fold_left ( + ) 0 counts;
+    sum = !sum;
+  }
 
 (** Merged view of every registered metric, sorted by name. *)
 let snapshot () : snapshot =
@@ -259,7 +260,8 @@ let hist_json (h : hist) =
     ]
 
 (** Schema-versioned JSON rendering of a snapshot: counters and
-    histograms under separate keys, each sorted by name. *)
+    histograms under separate keys, each sorted by name; a histogram
+    nothing has observed yet is left out. *)
 let snapshot_json (s : snapshot) =
   let counters =
     List.filter_map
@@ -268,7 +270,9 @@ let snapshot_json (s : snapshot) =
   in
   let hists =
     List.filter_map
-      (function name, Hist h -> Some (name, hist_json h) | _ -> None)
+      (function
+        | name, Hist h when h.count > 0 -> Some (name, hist_json h)
+        | _ -> None)
       s
   in
   Json.Obj

@@ -73,7 +73,11 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val hist_json : hist -> Json.t
 
-(** Schema-versioned JSON ([spd-metrics/1]) rendering of a snapshot. *)
+(** Schema-versioned JSON ([spd-metrics/1]) rendering of a snapshot:
+    every counter, and every histogram with at least one observation
+    (handles are registered when their module loads, so a process
+    registers histograms it never observes, such as the daemon's in a
+    one-shot report). *)
 val snapshot_json : snapshot -> Json.t
 
 (** Render a snapshot in the Prometheus text exposition format

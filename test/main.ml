@@ -16,4 +16,5 @@ let () =
       ("telemetry", Test_telemetry.tests);
       ("explain", Test_explain.tests);
       ("golden", Test_golden.tests);
+      ("lint", Test_lint.tests);
     ]

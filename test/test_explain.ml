@@ -35,7 +35,11 @@ let explain name =
   match Hashtbl.find_opt explained name with
   | Some t -> t
   | None ->
-      let t = Explain.analyze name in
+      let t =
+        Spd_harness.Experiment.with_session
+          (Spd_harness.Engine.Session.create ~jobs:1 ())
+          (fun s -> Explain.analyze s name)
+      in
       Hashtbl.add explained name t;
       t
 

@@ -217,6 +217,37 @@ let test_report_renders_na () =
         Test_harness.contains a "moment" && Test_harness.contains b "TOTAL"
     | _ -> false)
 
+(* The extension studies go through the same contained cells: a fault
+   on a grafted or an ablated SPEC cell renders that row n/a, records
+   the failure under the cell's variant key and keeps the process
+   alive. *)
+let test_extension_cell_raise_renders_na () =
+  List.iter
+    (fun (prefix, artefact) ->
+      let faults = parse_ok ("cell-raise:" ^ prefix) in
+      Test_harness.with_session (Engine.Session.create ~jobs:2 ~faults ())
+      @@ fun s ->
+      let a = Option.get (H.Artefact.find artefact) in
+      let text =
+        String.concat "" (List.map (Fmt.str "%a" H.Table.pp) (a.tables s))
+      in
+      check_bool (artefact ^ " renders n/a") true
+        (Test_harness.contains text "n/a");
+      let failures = Engine.Session.failures s in
+      check_bool (artefact ^ " records failures") true (failures <> []);
+      List.iter
+        (fun (f : Engine.failure) ->
+          check_bool
+            (Printf.sprintf "%s failure key %s names the variant" artefact
+               f.Engine.key)
+            true
+            (String.starts_with ~prefix f.Engine.key))
+        failures)
+    [
+      ("moment/6/SPEC+graft", "ext_grafting");
+      ("moment/6/SPEC+me=1+", "ext_params");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Self-healing cache: truncate one entry and bit-flip another; a warm
    rerun must detect both, evict, recompute and emit identical bytes. *)
@@ -311,6 +342,8 @@ let tests =
     case "engine: retry then succeed" test_retry_then_succeed;
     case "engine: contained cell failure" test_contained_failure;
     case "report: n/a cells and failure appendix" test_report_renders_na;
+    case "report: extension cells contained"
+      test_extension_cell_raise_renders_na;
     case "cache: self-healing after corruption" test_cache_self_healing;
     case "cache: cache-corrupt fault injection" test_cache_corrupt_fault;
   ]

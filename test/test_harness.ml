@@ -270,7 +270,32 @@ let test_parallel_map_order () =
          xs
      with
     | _ -> false
-    | exception Failure _ -> true)
+    | exception Failure _ -> true);
+  (* ... carrying the backtrace of the raise inside the task, not of the
+     pool's re-raise *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  match
+    Engine.Session.parallel_map s
+      (fun x -> if x = 17 then raise (Failure "boom") else x)
+      xs
+  with
+  | _ -> Alcotest.fail "parallel_map should re-raise"
+  | exception Failure _ -> (
+      let origin =
+        match Printexc.backtrace_slots (Printexc.get_raw_backtrace ()) with
+        | Some slots when Array.length slots > 0 -> (
+            match Printexc.Slot.location slots.(0) with
+            | Some loc -> loc.Printexc.filename
+            | None -> "")
+        | _ -> ""
+      in
+      check_bool
+        (Printf.sprintf "backtrace starts at the task's raise (got %S)" origin)
+        true
+        (Filename.basename origin = "test_harness.ml"))
 
 (* ------------------------------------------------------------------ *)
 (* The Query API: one typed request path behind every accessor *)
@@ -352,6 +377,101 @@ let test_query_quota_isolation () =
        (fun (f : Engine.failure) ->
          f.Engine.key = "moment/2/SPEC/cycles/fus4+fuel=1")
        (Engine.Session.failures s))
+
+(* A budget is part of every simulator node's key: a fuel-starved
+   request fails its own profile, the unbudgeted request still shares
+   the budget-free STATIC node, and its value is the one a standalone
+   preparation computes. *)
+let test_budget_nodes_isolated () =
+  with_session (Engine.Session.create ~jobs:1 ~disk_cache:false ())
+  @@ fun s ->
+  (match Engine.Session.submit s (cycles_q ~fuel:1 ()) with
+  | Engine.Failed _ -> ()
+  | Engine.Ok _ -> Alcotest.fail "fuel=1 should exhaust the simulator");
+  let got = get (Engine.to_int (Engine.Session.submit s (cycles_q ()))) in
+  let st = Engine.Session.stats s in
+  check_int "STATIC node shared across budgets" 1 st.Engine.Stats.static_runs;
+  check_int "one profile per budget" 2 st.Engine.Stats.profiles;
+  check_int "one unbudgeted observation" 1 st.Engine.Stats.observations;
+  let standalone =
+    Pipeline.cycles
+      (Pipeline.prepare
+         ~config:(Pipeline.Config.v ~mem_latency:2 ())
+         Pipeline.Spec
+         (compile (Spd_workloads.Registry.by_name "moment").source))
+      ~width:(Spd_machine.Descr.Fus 4)
+  in
+  check_int "engine node = standalone prepare" standalone got
+
+(* Explicit default heuristic parameters key exactly like the implicit
+   ones, so an ablation point at the defaults reuses the grid's cells;
+   the grid's own payload string is unchanged. *)
+let test_fingerprint_canonical () =
+  let fp = Pipeline.Config.fingerprint in
+  let module Hr = Spd_core.Heuristic in
+  check_bool "grid fingerprint unchanged" true
+    (fp Pipeline.Config.default
+    = "check=true;graft=false;lat=2;params=default");
+  check_bool "Some default_params = None" true
+    (fp (Pipeline.Config.v ~spd_params:Hr.default_params ())
+    = fp Pipeline.Config.default);
+  check_bool "other parameters key apart" true
+    (fp
+       (Pipeline.Config.v
+          ~spd_params:{ Hr.default_params with min_gain = 1.5 }
+          ())
+    <> fp Pipeline.Config.default);
+  let q ?spd_params ?graft () =
+    Query.v ?spd_params ?graft ~bench:"adi" ~latency:6
+      (Query.Cycles { kind = Pipeline.Spec; width = Spd_machine.Descr.Fus 5 })
+  in
+  check_bool "query keys agree on the defaults" true
+    (Query.key (q ~spd_params:Hr.default_params ()) = Query.key (q ()));
+  check_bool "variant tags name the extension cells" true
+    (Query.key
+       (q ~graft:true ~spd_params:{ Hr.default_params with max_expansion = 1.0 } ())
+    = "adi/6/cycles/SPEC/fus5+graft+me=1+mg=0.75+ma=64")
+
+(* The stage DAG over a cold `all` session (paper and extension
+   artefacts): one naive observation and one static disambiguation per
+   (workload, graft), one profile per profiled program, one SpD run per
+   distinct (workload, graft, latency, parameters).  A warm second pass
+   over the extension artefacts then prepares nothing. *)
+let test_stage_dag_counts () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "spd_dag_test_%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let tables s names =
+    List.concat_map
+      (fun (a : H.Artefact.t) ->
+        List.map
+          (fun t -> Spd_telemetry.Json.to_string (H.Table.to_json t))
+          (a.tables s))
+      (H.Artefact.of_names names)
+  in
+  let s1 = Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir () in
+  let cold =
+    with_session s1 (fun s ->
+        ignore (tables s H.Artefact.paper_set);
+        tables s H.Artefact.extension_set)
+  in
+  let st = Engine.Session.stats s1 in
+  check_int "lowerings" 11 st.Engine.Stats.lowerings;
+  check_int "naive observations" 22 st.Engine.Stats.observations;
+  check_int "static disambiguations" 22 st.Engine.Stats.static_runs;
+  check_int "profiles" 33 st.Engine.Stats.profiles;
+  check_int "SpD heuristic runs" 93 st.Engine.Stats.spd_runs;
+  check_int "no failures" 0 st.Engine.Stats.cell_failures;
+  let s2 = Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir () in
+  let warm = with_session s2 (fun s -> tables s H.Artefact.extension_set) in
+  let st2 = Engine.Session.stats s2 in
+  check_int "warm extensions: preparations" 0 st2.Engine.Stats.preparations;
+  check_int "warm extensions: simulations" 0 st2.Engine.Stats.simulations;
+  check_int "warm extensions: lowerings" 0 st2.Engine.Stats.lowerings;
+  check_bool "warm extensions byte-identical to cold" true (cold = warm)
 
 (* ------------------------------------------------------------------ *)
 (* The decision ledger through the engine (spd why) *)
@@ -454,6 +574,11 @@ let tests =
     case "query submit: one request path" test_query_submit;
     case "query submit: concurrent burst deduplicates" test_submit_dedup_concurrent;
     case "query quotas isolate tenants" test_query_quota_isolation;
+    case "budgets key their own stage nodes" test_budget_nodes_isolated;
+    case "fingerprint: default parameters are canonical"
+      test_fingerprint_canonical;
+    case "stage DAG: node counts of a cold all, warm extensions"
+      test_stage_dag_counts;
     case "cliflags: shared flag parsers" test_cliflags;
     case "speedup metric" test_speedup_metric;
     case "reports render" test_reports_render;

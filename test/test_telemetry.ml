@@ -192,7 +192,16 @@ let test_histogram_observe () =
   | _ -> Alcotest.fail "histogram missing from snapshot"
 
 let test_snapshot_json_schema () =
+  ignore (Metrics.counter "test.telemetry.json.idle_counter");
+  ignore (Metrics.histogram ~buckets:[| 1.0 |] "test.telemetry.json.idle");
   let doc = Metrics.snapshot_json (Metrics.snapshot ()) in
+  let has section name =
+    Option.bind (Json.member section doc) (Json.member name) <> None
+  in
+  check_bool "an untouched counter is listed" true
+    (has "counters" "test.telemetry.json.idle_counter");
+  check_bool "an unobserved histogram is left out" false
+    (has "histograms" "test.telemetry.json.idle");
   check_bool "spd-metrics/1 schema" true
     (Option.bind (Json.member "schema" doc) Json.to_string_opt
     = Some "spd-metrics/1");
