@@ -2,16 +2,17 @@
 # the test suite, a 200-seed differential fuzz smoke, a table6_3 smoke
 # run twice — the second pass must be served entirely from the warm
 # _spd_cache/ — a telemetry smoke that lints the trace and JSON
-# report output with the in-repo JSON reader, and a translation-
+# report output with the in-repo JSON reader, a translation-
 # validation smoke that certifies every SpD application on the paper
-# grid with the symbolic equivalence checker.
+# grid with the symbolic equivalence checker, and a race smoke over
+# fresh cold parallel processes.
 
 DUNE ?= dune
 SMOKE_DIR ?= /tmp
 
 .PHONY: all check test bench bench-json fuzz-smoke telemetry-smoke \
 	bench-diff-smoke perf-smoke serve-smoke chaos-smoke obs-smoke \
-	validate-smoke golden-promote clean
+	validate-smoke race-smoke golden-promote clean
 
 all:
 	$(DUNE) build
@@ -27,7 +28,7 @@ fuzz-smoke:
 # Telemetry smoke: a traced machine-readable run, then both output
 # files validated by test/json_lint.exe.
 telemetry-smoke:
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2 --no-cache \
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --no-cache \
 	  --trace $(SMOKE_DIR)/spd_trace.json --format json \
 	  > $(SMOKE_DIR)/spd_report.json
 	$(DUNE) exec bin/spd.exe -- explain matmul300 --format json \
@@ -125,6 +126,24 @@ validate-smoke:
 	  > $(SMOKE_DIR)/spd_validate.json
 	$(DUNE) exec test/json_lint.exe -- $(SMOKE_DIR)/spd_validate.json
 
+# Race smoke: 10 fresh cold processes at --jobs 4.  A value shared
+# across the engine's domains is first forced at most once per process,
+# so a first-force race can only be caught across many processes: each
+# run must exit 0 and print the same report outside its run-dependent
+# metrics member (the last one).
+race-smoke:
+	$(DUNE) build bin/spd.exe
+	@for i in 1 2 3 4 5 6 7 8 9 10; do \
+	  $(DUNE) exec bin/spd.exe -- report table6_3 --jobs 4 --no-cache \
+	    --format json > $(SMOKE_DIR)/spd_race_$$i.json \
+	    || { echo "race-smoke: run $$i exited nonzero"; exit 1; }; \
+	  sed 's/,"metrics":.*$$//' $(SMOKE_DIR)/spd_race_$$i.json \
+	    > $(SMOKE_DIR)/spd_race_$$i.txt; \
+	  cmp -s $(SMOKE_DIR)/spd_race_1.txt $(SMOKE_DIR)/spd_race_$$i.txt \
+	    || { echo "race-smoke: run $$i printed a different report"; exit 1; }; \
+	done
+	@echo "race-smoke: 10 cold --jobs 4 runs, identical reports"
+
 # Regenerate the golden-schedule corpus under test/golden/ after an
 # intentional scheduler or DDG change; review the grid diff and commit.
 golden-promote:
@@ -133,8 +152,8 @@ golden-promote:
 check: all
 	$(DUNE) runtest
 	$(MAKE) fuzz-smoke
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2
-	$(DUNE) exec bench/main.exe -- table6_3 --jobs 2 --timings
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2
+	$(DUNE) exec bin/spd.exe -- report table6_3 --jobs 2 --timings
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-diff-smoke
 	$(MAKE) perf-smoke
@@ -142,14 +161,16 @@ check: all
 	$(MAKE) chaos-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) validate-smoke
+	$(MAKE) race-smoke
 
 bench:
-	$(DUNE) exec bench/main.exe -- all --timings
+	$(DUNE) exec bin/spd.exe -- report all --timings
+	$(DUNE) exec bin/spd.exe -- bench micro
 
 # The full report (paper artefacts + extensions) as one spd-report/1
 # JSON document; see EXPERIMENTS.md for the schema.
 bench-json:
-	$(DUNE) exec bench/main.exe -- all --format json > BENCH_REPORT.json
+	$(DUNE) exec bin/spd.exe -- report all --format json > BENCH_REPORT.json
 
 clean:
 	$(DUNE) clean

@@ -1,215 +1,2 @@
-(** Benchmark harness.
-
-    [dune exec bench/main.exe] regenerates every table and figure of the
-    paper's evaluation section (section 6) from this reproduction:
-
-    - Table 6-1  operation latencies (machine configuration)
-    - Table 6-2  benchmark inventory
-    - Table 6-3  frequency of SpD application by dependence type
-    - Table 6-4  the four disambiguators
-    - Figure 6-2 speedup over NAIVE on a 5-FU machine (2 & 6 cycle memory)
-    - Figure 6-3 speedup of SPEC over STATIC vs machine width (NRC)
-    - Figure 6-4 code size increase due to SpD
-
-    Subcommands select individual artefacts; [micro] additionally runs
-    Bechamel micro-benchmarks of the compiler passes themselves.
-
-    Flags (anywhere on the command line):
-    - [--jobs N]     size of the engine's domain pool (default:
-      [Domain.recommended_domain_count ()]); [--jobs 1] is sequential
-      and emits bit-identical numbers
-    - [--no-cache]   disable the content-addressed on-disk result cache
-      ([_spd_cache/])
-    - [--timings]    append the engine's per-stage wall-clock report
-    - [--trace FILE] write a Chrome trace-event JSON of the run (spans
-      per grid cell, with pipeline-stage child spans), loadable in
-      Perfetto / chrome://tracing
-    - [--format F]   output format: pretty (default), json (one
-      [spd-report/1] document with every table, the failures and a
-      metrics snapshot) or csv (long format)
-    - [--retries N]  attempts per grid cell before recording a failure
-    - [--fuel N]     simulator traversal budget per run
-    - [--deadline S] per-cell wall-clock budget in seconds
-    - [--widths A,B] machine widths for Figure 6-3 (default 1..8)
-    - [--inject-fault SPEC] deterministic fault injection, e.g.
-      [cache-corrupt:1], [cell-raise:adi/2/SPEC], [fuel:1000]
-
-    A run with failed cells renders them as [n/a] (JSON [null]), lists
-    them in the failure appendix ([failures] key) and exits nonzero. *)
-
-module Report = Spd_harness.Report
-module Engine = Spd_harness.Engine
-module Faults = Spd_harness.Faults
-module Artefact = Spd_harness.Artefact
-module Trace = Spd_telemetry.Trace
-
-let ppf = Fmt.stdout
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the tool chain *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let kernel = (Spd_workloads.Registry.by_name "moment").source in
-  let lowered = Spd_lang.Lower.compile kernel in
-  let naive = Spd_analysis.Memarcs.annotate (Spd_analysis.Forwarding.run lowered) in
-  let static = Spd_disambig.Static_disambig.run naive in
-  let a_tree =
-    (* the largest tree with ambiguous arcs, for pass-level benches *)
-    let best = ref None in
-    Spd_ir.Prog.iter_trees
-      (fun _ t ->
-        if Spd_ir.Tree.ambiguous_arcs t <> [] then
-          match !best with
-          | Some b when Spd_ir.Tree.size b >= Spd_ir.Tree.size t -> ()
-          | _ -> best := Some t)
-      static;
-    Option.get !best
-  in
-  let tests =
-    [
-      Test.make ~name:"frontend: parse+check+lower"
-        (Staged.stage (fun () -> Spd_lang.Lower.compile kernel));
-      Test.make ~name:"analysis: memory arcs"
-        (Staged.stage (fun () -> Spd_analysis.Memarcs.annotate lowered));
-      Test.make ~name:"disambig: GCD/Banerjee"
-        (Staged.stage (fun () -> Spd_disambig.Static_disambig.run naive));
-      Test.make ~name:"ddg: build+asap"
-        (Staged.stage (fun () ->
-             Spd_analysis.Ddg.asap
-               (Spd_analysis.Ddg.build ~mem_latency:2 a_tree)));
-      Test.make ~name:"scheduler: 4-wide list schedule"
-        (Staged.stage (fun () ->
-             let g = Spd_analysis.Ddg.build ~mem_latency:2 a_tree in
-             Spd_machine.Scheduler.run ~fus:4 g));
-      Test.make ~name:"spd: heuristic on program"
-        (Staged.stage (fun () ->
-             Spd_core.Heuristic.run ~mem_latency:2 static));
-      Test.make ~name:"simulator: full run"
-        (Staged.stage (fun () -> Spd_sim.Interp.run lowered));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"passes" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Fmt.pf ppf "@.Micro-benchmarks of the tool chain (ns/run)@.";
-  Fmt.pf ppf "%s@." (String.make 60 '-');
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, est) -> Fmt.pf ppf "%-44s %12.0f@." name est)
-    rows;
-  Fmt.pf ppf "%s@." (String.make 60 '-')
-
-(* ------------------------------------------------------------------ *)
-
-let usage () =
-  Fmt.epr
-    "usage: main.exe [all|micro%a] [--jobs N] [--no-cache] [--timings] \
-     [--trace FILE] [--format pretty|json|csv] [--retries N] [--fuel N] \
-     [--deadline S] [--widths A,B,..] [--inject-fault SPEC]@."
-    (Fmt.list ~sep:Fmt.nop (fun ppf n -> Fmt.pf ppf "|%s" n))
-    (Artefact.names ());
-  exit 1
-
-(* one-line diagnosis for a malformed flag value; no exception trace.
-   The parsers themselves live in Cliflags, shared with bin/spd. *)
-let hint fmt = Fmt.kstr (fun s -> Fmt.epr "main.exe: %s@." s; exit 1) fmt
-
-let or_hint = function Ok v -> v | Error msg -> hint "%s" msg
-let int_flag flag n = or_hint (Spd_harness.Cliflags.pos_int ~flag n)
-let float_flag flag n = or_hint (Spd_harness.Cliflags.pos_float ~flag n)
-let widths_flag s = or_hint (Spd_harness.Cliflags.widths s)
-
-let () =
-  let jobs = ref None in
-  let disk_cache = ref true in
-  let timings = ref false in
-  let retries = ref None in
-  let fuel = ref None in
-  let deadline = ref None in
-  let faults = ref Faults.none in
-  let trace = ref None in
-  let format = ref Artefact.Pretty in
-  let rest = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: n :: tl -> jobs := Some (int_flag "--jobs" n); parse tl
-    | "--no-cache" :: tl -> disk_cache := false; parse tl
-    | "--timings" :: tl -> timings := true; parse tl
-    | "--trace" :: f :: tl -> trace := Some f; parse tl
-    | "--format" :: f :: tl -> (
-        match Artefact.format_of_string f with
-        | Some fm -> format := fm; parse tl
-        | None -> hint "--format expects pretty, json or csv, got %S" f)
-    | "--retries" :: n :: tl ->
-        retries := Some (int_flag "--retries" n); parse tl
-    | "--fuel" :: n :: tl -> fuel := Some (int_flag "--fuel" n); parse tl
-    | "--deadline" :: n :: tl ->
-        deadline := Some (float_flag "--deadline" n); parse tl
-    | "--widths" :: w :: tl -> Report.set_widths (widths_flag w); parse tl
-    | "--inject-fault" :: spec :: tl -> (
-        match Faults.parse spec with
-        | Ok f -> faults := f; parse tl
-        | Error msg -> hint "--inject-fault: %s" msg)
-    | [ flag ]
-      when List.mem flag
-             [ "--jobs"; "--retries"; "--fuel"; "--deadline"; "--widths";
-               "--inject-fault"; "--trace"; "--format" ] ->
-        hint "%s expects a value" flag
-    | arg :: tl -> rest := arg :: !rest; parse tl
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let failed =
-    (* [capture] writes the trace file even when a grid cell raises *)
-    Trace.capture !trace (fun () ->
-        Spd_harness.Experiment.with_session
-          (Engine.Session.create ?jobs:!jobs ~disk_cache:!disk_cache
-             ?retries:!retries ?fuel:!fuel ?deadline:!deadline
-             ~faults:!faults ())
-          (fun session ->
-            let render names =
-              Artefact.render ~session !format ppf (Artefact.of_names names)
-            in
-            (match (List.rev !rest, !format) with
-            | ([] | [ "all" ]), Artefact.Pretty ->
-                render (Artefact.paper_set @ Artefact.extension_set);
-                micro ()
-            | ([] | [ "all" ]), _ ->
-                (* micro is interactive-only: its numbers are pure wall
-                   clock *)
-                render (Artefact.paper_set @ Artefact.extension_set)
-            | [ "micro" ], Artefact.Pretty -> micro ()
-            | [ "micro" ], _ -> hint "micro supports only --format pretty"
-            | [ "timings" ], Artefact.Pretty -> timings := true
-            | [ name ], _ -> (
-                match Artefact.find name with
-                | Some _ -> render [ name ]
-                | None ->
-                    hint "unknown artefact %S (one of: all, micro, %s)" name
-                      (String.concat ", " (Artefact.names ())))
-            | _ -> usage ());
-            (match !format with
-            | Artefact.Pretty ->
-                if !timings then Report.timings session ppf ();
-                Report.failure_appendix session ppf ()
-            | _ -> ());
-            Spd_harness.Experiment.failures session <> []))
-  in
-  if failed then exit 2
+(** [bench/main.exe ARGS] is an alias of [spd report ARGS]. *)
+let () = Spd_cli.Cli.main ~prefix:[ "report" ] Sys.argv

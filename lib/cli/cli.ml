@@ -1,0 +1,1072 @@
+(** The [spd] command-line tool (see the .mli).
+
+    {v
+    spd compile FILE [--pipeline P] [--mem-latency N]   dump the decision-tree IR
+    spd run     FILE [--pipeline P] [--width W] ...     compile, simulate, time
+    spd bench   NAME [--mem-latency N]                  one built-in benchmark, all pipelines
+    spd bench   diff OLD NEW [--threshold PCT]          compare two bench reports
+    spd bench   snapshot [--from FILE]                  timestamped copy into bench/history/
+    spd explain WORKLOAD [--fn F] [--tree T]            occupancy grids + critical paths
+    spd why     WORKLOAD [--fn F] [--tree T]            the heuristic's decision ledger
+                [--format pretty|json|csv]
+    spd validate WORKLOAD [--fn F] [--tree T]           translation-validate the SpD transform
+                [--format pretty|json|csv]
+    spd cache   stats [--dir _spd_cache] [--json]       on-disk result cache statistics
+    spd report  [ARTEFACT|all] [--jobs N] [--no-cache]  regenerate the paper's tables/figures
+                [--trace FILE] [--format pretty|json|csv]
+    spd serve   [--socket PATH | --tcp HOST:PORT]       experiment daemon (framed JSON-RPC)
+                [--log FILE] [--trace FILE] [--slow-ms MS]
+    spd call    METHOD [PARAMS] [--socket PATH]         one request against a running daemon
+                [--format json|prometheus]
+    spd top     [--socket PATH | --tcp HOST:PORT]       live daemon dashboard (polls health+metrics)
+    spd list                                            list built-in benchmarks
+    v}
+
+    [FILE] is a mini-C source file; [P] is one of naive, static, spec,
+    perfect (default spec). *)
+
+open Cmdliner
+module Pipeline = Spd_harness.Pipeline
+module Engine = Spd_harness.Engine
+module Artefact = Spd_harness.Artefact
+module Surface = Spd_serve.Surface
+module Registry = Spd_workloads.Registry
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let pipeline_arg =
+  Arg.(
+    value
+    & opt (Surface.pipeline.conv "--pipeline") Pipeline.Spec
+    & info [ "p"; "pipeline" ] ~docv:"PIPELINE"
+        ~doc:"Disambiguation pipeline: naive, static, spec or perfect.")
+
+let mem_latency_arg =
+  Arg.(
+    value
+    & opt int 2
+    & info [ "m"; "mem-latency" ] ~docv:"CYCLES"
+        ~doc:"Memory latency in cycles (the paper uses 2 and 6).")
+
+let width_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "w"; "width" ] ~docv:"FUS"
+        ~doc:
+          "Number of universal functional units (default: infinite \
+           machine).")
+
+let file_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE" ~doc:"Mini-C source file.")
+
+let handle_errors f =
+  try f () with
+  | Surface.Bad_params msg ->
+      Fmt.epr "%s@." msg;
+      exit 1
+  | Engine.Cell_failed c ->
+      Fmt.epr "%a@." Engine.pp_failure c;
+      exit 2
+  | e -> (
+      match Spd_serve.Server.app_error_message e with
+      | Some msg ->
+          Fmt.epr "%s@." msg;
+          exit 1
+      | None -> raise e)
+
+let prepare_src ~mem_latency pipeline src =
+  Pipeline.prepare
+    ~config:(Pipeline.Config.v ~mem_latency ())
+    pipeline
+    (Spd_lang.Lower.compile src)
+
+(* shared flags *)
+
+let format_conv =
+  Arg.enum
+    [
+      ("pretty", Artefact.Pretty);
+      ("json", Artefact.Json);
+      ("csv", Artefact.Csv);
+    ]
+
+let format_arg ~doc =
+  Arg.(
+    value
+    & opt format_conv Artefact.Pretty
+    & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+let faults_conv =
+  let parse s = Result.map_error (fun m -> `Msg m) (Spd_harness.Faults.parse s) in
+  Arg.conv (parse, Spd_harness.Faults.pp)
+
+let faults_arg =
+  Arg.(
+    value
+    & opt (some faults_conv) None
+    & info [ "inject-fault" ] ~docv:"SPEC"
+        ~doc:
+          "Deterministic fault injection: comma-separated \
+           $(b,cache-corrupt:N) (corrupt the Nth cache read), \
+           $(b,cell-raise:KEY[@TIMES]) (raise in cells whose key \
+           starts with KEY, e.g. adi/2/SPEC), $(b,fuel:N) (tight \
+           simulator budget), $(b,cycles-inflate:PCT) (inflate \
+           reported cycle counts — for exercising the regression \
+           tracker), $(b,worker-raise:N) (crash the daemon worker on \
+           the first N connections — for exercising supervision) and \
+           the chaos-client budgets $(b,conn-torn-frame:N), \
+           $(b,conn-garbage-header:N), $(b,conn-stall:N).")
+
+(* budget/pool flags shared by the query surfaces and [spd serve]; the
+   converters are the surfaces' own, so a flag and an RPC member of the
+   same shape accept the same values *)
+
+let pos_int_conv = Surface.pos_int.conv
+let pos_float_conv = Surface.pos_float.conv
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some (pos_int_conv "--jobs")) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Size of the experiment engine's domain pool (default: the \
+           number of cores).  $(b,--jobs 1) is fully sequential and \
+           emits bit-identical numbers.")
+
+let no_cache_arg =
+  Arg.(
+    value & flag
+    & info [ "no-cache" ]
+        ~doc:
+          "Disable the content-addressed on-disk result cache \
+           ($(b,_spd_cache/)).")
+
+let retries_arg =
+  Arg.(
+    value
+    & opt (some (pos_int_conv "--retries")) None
+    & info [ "retries" ] ~docv:"N"
+        ~doc:
+          "Attempts per grid cell before a failure is recorded and the \
+           cell renders as n/a (default 1).")
+
+let fuel_arg =
+  Arg.(
+    value
+    & opt (some (pos_int_conv "--fuel")) None
+    & info [ "fuel" ] ~docv:"N"
+        ~doc:"Simulator traversal budget per run (default 60M).")
+
+let deadline_arg =
+  Arg.(
+    value
+    & opt (some (pos_float_conv "--deadline")) None
+    & info [ "deadline" ] ~docv:"SECONDS"
+        ~doc:"Per-cell wall-clock budget in seconds.")
+
+let trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write a Chrome trace-event JSON of the run (spans per grid \
+           cell with pipeline-stage child spans), loadable in Perfetto \
+           / chrome://tracing.  Written even when the run aborts.")
+
+(* ------------------------------------------------------------------ *)
+
+let compile_cmd =
+  let run file pipeline mem_latency =
+    handle_errors (fun () ->
+        let p = prepare_src ~mem_latency pipeline (read_file file) in
+        Fmt.pr "%a@." Spd_ir.Prog.pp p.prog;
+        if p.applications <> [] then begin
+          Fmt.pr "@.SpD applications:@.";
+          List.iter
+            (fun (a : Spd_core.Heuristic.application) ->
+              Fmt.pr "  %s tree %d: %a arc #%d->#%d gain %.2f cost %d@."
+                a.func a.tree_id Spd_ir.Memdep.pp_kind a.kind (fst a.arc)
+                (snd a.arc) a.predicted_gain a.cost)
+            p.applications
+        end)
+  in
+  Cmd.v
+    (Cmd.info "compile" ~doc:"Compile a mini-C file and dump the IR.")
+    Term.(const run $ file_arg $ pipeline_arg $ mem_latency_arg)
+
+let run_cmd =
+  let run file pipeline mem_latency width =
+    handle_errors (fun () ->
+        let p = prepare_src ~mem_latency pipeline (read_file file) in
+        let descr =
+          {
+            Spd_machine.Descr.width =
+              (match width with
+              | None -> Spd_machine.Descr.Infinite
+              | Some n -> Spd_machine.Descr.Fus n);
+            mem_latency;
+          }
+        in
+        let timing = Spd_machine.Timing_builder.program descr p.prog in
+        let r = Spd_sim.Interp.run ~timing p.prog in
+        List.iter (fun v -> Fmt.pr "%a@." Spd_ir.Value.pp v) r.output;
+        Fmt.pr "return      %a@." Spd_ir.Value.pp r.ret;
+        Fmt.pr "machine     %a (%a)@." Spd_machine.Descr.pp descr Pipeline.pp
+          pipeline;
+        Fmt.pr "traversals  %d@." r.traversals;
+        Fmt.pr "cycles      %d@." r.cycles)
+  in
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Compile, disambiguate, schedule and simulate a mini-C file.")
+    Term.(const run $ file_arg $ pipeline_arg $ mem_latency_arg $ width_arg)
+
+let bench_table session ~bench ~mem_latency ~width ppf =
+  let w = Registry.by_name bench in
+  Fmt.pf ppf "%-10s %-30s@." w.name w.description;
+  Fmt.pf ppf "%-8s %10s %10s@." "pipeline" "cycles" "speedup";
+  let cycles kind =
+    match
+      Engine.to_int
+        (Engine.Session.submit session
+           (Engine.Query.v ~bench ~latency:mem_latency
+              (Engine.Query.Cycles { kind; width })))
+    with
+    | Engine.Ok n -> n
+    | Engine.Failed f -> raise (Engine.Cell_failed f)
+  in
+  let base = cycles Pipeline.Naive in
+  List.iter
+    (fun kind ->
+      let n = cycles kind in
+      Fmt.pf ppf "%-8s %10d %9.1f%%@." (Pipeline.name kind) n
+        (100.0 *. Pipeline.speedup ~base ~this:n))
+    Pipeline.all
+
+let bench_run_cmd =
+  let run name mem_latency width =
+    handle_errors (fun () ->
+        Surface.require_workload name;
+        let width = Spd_machine.Descr.Fus (Option.value ~default:5 width) in
+        let session = Engine.Session.create ~jobs:1 () in
+        Fun.protect
+          ~finally:(fun () -> Engine.Session.close session)
+          (fun () ->
+            bench_table session ~bench:name ~mem_latency ~width Fmt.stdout))
+  in
+  let name_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,spd list)).")
+  in
+  Term.(const run $ name_arg $ mem_latency_arg $ width_arg)
+
+let bench_diff_cmd =
+  let module Benchdiff = Spd_harness.Benchdiff in
+  let run old_file new_file threshold format =
+    match
+      Benchdiff.diff_strings ~threshold ~old_report:(read_file old_file)
+        ~new_report:(read_file new_file) ()
+    with
+    | Error msg ->
+        Fmt.epr "bench diff: %s@." msg;
+        exit 1
+    | Ok d ->
+        Benchdiff.render format Fmt.stdout d;
+        if d.Benchdiff.regressions > 0 then exit 2
+  in
+  let old_arg =
+    Arg.(
+      required
+      & pos 0 (some file) None
+      & info [] ~docv:"OLD"
+          ~doc:"Baseline spd-report/1 document (e.g. a bench/history/ \
+                snapshot).")
+  in
+  let new_arg =
+    Arg.(
+      required
+      & pos 1 (some file) None
+      & info [] ~docv:"NEW"
+          ~doc:"Candidate spd-report/1 document (e.g. BENCH_REPORT.json).")
+  in
+  let threshold_arg =
+    Arg.(
+      value
+      & opt float 0.0
+      & info [ "threshold" ] ~docv:"PCT"
+          ~doc:
+            "Tolerated relative change in percent; a cell regresses only \
+             when it moves in the bad direction by more than this \
+             (default 0: any worsening counts).")
+  in
+  Cmd.v
+    (Cmd.info "diff"
+       ~doc:
+         "Compare two bench reports cell by cell; exits 2 when any \
+          tracked value regresses beyond the threshold.")
+    Term.(
+      const run $ old_arg $ new_arg $ threshold_arg
+      $ format_arg
+          ~doc:
+            "Output format: $(b,pretty) (default), $(b,json) (one \
+             spd-bench-diff/1 document) or $(b,csv).")
+
+let bench_snapshot_cmd =
+  let run from dir =
+    let doc = read_file from in
+    (match Spd_telemetry.Json.of_string doc with
+    | Error msg ->
+        Fmt.epr "bench snapshot: %s is not valid JSON: %s@." from msg;
+        exit 1
+    | Ok json -> (
+        match
+          Option.bind
+            (Spd_telemetry.Json.member "schema" json)
+            Spd_telemetry.Json.to_string_opt
+        with
+        | Some s
+          when s = Artefact.report_schema
+               || s = Spd_harness.Microbench.schema ->
+            ()
+        | _ ->
+            Fmt.epr "bench snapshot: %s is not an %s or %s document@." from
+              Artefact.report_schema Spd_harness.Microbench.schema;
+            exit 1));
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let tm = Unix.localtime (Unix.gettimeofday ()) in
+    let stamp =
+      Printf.sprintf "%04d%02d%02d-%02d%02d%02d" (tm.Unix.tm_year + 1900)
+        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+        tm.Unix.tm_sec
+    in
+    let rec fresh n =
+      let path =
+        Filename.concat dir
+          (if n = 0 then stamp ^ ".json"
+           else Printf.sprintf "%s-%d.json" stamp n)
+      in
+      if Sys.file_exists path then fresh (n + 1) else path
+    in
+    let path = fresh 0 in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc doc);
+    Fmt.pr "%s@." path
+  in
+  let from_arg =
+    Arg.(
+      value
+      & opt file "BENCH_REPORT.json"
+      & info [ "from" ] ~docv:"FILE"
+          ~doc:"Report to snapshot (default BENCH_REPORT.json).")
+  in
+  let dir_arg =
+    Arg.(
+      value
+      & opt string "bench/history"
+      & info [ "dir" ] ~docv:"DIR"
+          ~doc:"History directory (default bench/history).")
+  in
+  Cmd.v
+    (Cmd.info "snapshot"
+       ~doc:
+         "Validate a bench report and copy it into the history directory \
+          under a timestamped name, printing the path written.")
+    Term.(const run $ from_arg $ dir_arg)
+
+let bench_micro_cmd =
+  let module Microbench = Spd_harness.Microbench in
+  let run names mem_latency width min_time baseline max_drop format =
+    handle_errors (fun () ->
+        List.iter Surface.require_workload names;
+        let workloads = match names with [] -> None | ns -> Some ns in
+        let t = Microbench.run ~mem_latency ~width ~min_time ?workloads () in
+        Microbench.render format Fmt.stdout t;
+        match baseline with
+        | None -> ()
+        | Some file -> (
+            match Spd_telemetry.Json.of_string (read_file file) with
+            | Error msg ->
+                Fmt.epr "bench micro: baseline %s is not valid JSON: %s@."
+                  file msg;
+                exit 1
+            | Ok doc ->
+                let dropped = ref false in
+                List.iter
+                  (fun (s : Microbench.sample) ->
+                    match
+                      Microbench.simulate_per_sec doc ~workload:s.workload
+                    with
+                    | None -> ()
+                    | Some base ->
+                        let cur = s.simulate.Microbench.per_sec in
+                        let drop_pct =
+                          if base > 0.0 then (base -. cur) /. base *. 100.0
+                          else 0.0
+                        in
+                        Fmt.epr
+                          "perf: %-10s simulate %13.0f trav/s, baseline \
+                           %13.0f (%+.1f%%)@."
+                          s.workload cur base (-.drop_pct);
+                        if drop_pct > max_drop then begin
+                          dropped := true;
+                          Fmt.epr
+                            "perf: %s simulate throughput dropped %.1f%% \
+                             (budget %.0f%%)@."
+                            s.workload drop_pct max_drop
+                        end)
+                  t.Microbench.samples;
+                if !dropped then exit 2))
+  in
+  let names_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"WORKLOAD"
+          ~doc:
+            "Workloads to benchmark (default: the paper's Table 6-2 set \
+             plus the extras, e.g. $(b,matmul300)).")
+  in
+  let min_time_arg =
+    Arg.(
+      value
+      & opt float 0.3
+      & info [ "min-time" ] ~docv:"SECONDS"
+          ~doc:
+            "Minimum wall clock accumulated per measured stage (default \
+             0.3).")
+  in
+  let width_arg =
+    Arg.(
+      value
+      & opt int 5
+      & info [ "w"; "width" ] ~docv:"FUS"
+          ~doc:"Number of universal functional units (default 5).")
+  in
+  let baseline_arg =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Committed spd-micro/1 snapshot to compare simulate \
+             throughput against (see $(b,make perf-smoke)); exits 2 \
+             when a measured workload drops more than $(b,--max-drop) \
+             percent below it.")
+  in
+  let max_drop_arg =
+    Arg.(
+      value
+      & opt float 25.0
+      & info [ "max-drop" ] ~docv:"PCT"
+          ~doc:
+            "Tolerated simulate-throughput drop vs $(b,--baseline), in \
+             percent (default 25).")
+  in
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:
+         "Measure compile/schedule/simulate throughput per workload and \
+          emit an spd-micro/1 document; optionally gate against a \
+          committed baseline snapshot.")
+    Term.(
+      const run $ names_arg $ mem_latency_arg $ width_arg $ min_time_arg
+      $ baseline_arg $ max_drop_arg
+      $ format_arg
+          ~doc:
+            "Output format: $(b,pretty) (default), $(b,json) (one \
+             spd-micro/1 document) or $(b,csv).")
+
+(* [spd bench NAME] predates the diff/snapshot subcommands; the main
+   entry point rewrites it to [spd bench run NAME] so both forms work. *)
+let bench_subcommands = [ "run"; "diff"; "snapshot"; "micro" ]
+
+let bench_cmd =
+  Cmd.group ~default:bench_run_cmd
+    (Cmd.info "bench"
+       ~doc:
+         "Run one built-in benchmark under all four pipelines; \
+          $(b,diff)/$(b,snapshot)/$(b,micro) track bench reports and \
+          hot-path throughput over time.")
+    [
+      Cmd.v
+        (Cmd.info "run"
+           ~doc:"Run one built-in benchmark under all four pipelines.")
+        bench_run_cmd;
+      bench_diff_cmd;
+      bench_snapshot_cmd;
+      bench_micro_cmd;
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The query surfaces: one subcommand per descriptor of Surface.table *)
+
+(* how a surface's command builds its session, and where it writes a
+   trace *)
+let session_term = function
+  | Surface.No_flags ->
+      Term.const ((fun () -> Engine.Session.create ~jobs:1 ()), None)
+  | Surface.Pool_flags ->
+      Term.(
+        const (fun jobs no_cache ->
+            ( (fun () ->
+                Engine.Session.create ?jobs ~disk_cache:(not no_cache) ()),
+              None ))
+        $ jobs_arg $ no_cache_arg)
+  | Surface.All_flags ->
+      Term.(
+        const (fun jobs no_cache retries fuel deadline faults trace ->
+            ( (fun () ->
+                Engine.Session.create ?jobs ~disk_cache:(not no_cache)
+                  ?retries ?fuel ?deadline ?faults ()),
+              trace ))
+        $ jobs_arg $ no_cache_arg $ retries_arg $ fuel_arg $ deadline_arg
+        $ faults_arg $ trace_arg)
+
+let surface_cmd (Surface.Surface s) =
+  let run (create, trace) params format =
+    let failed =
+      handle_errors (fun () ->
+          let p = params () in
+          (* [capture] writes the trace file even when a cell raises *)
+          Spd_telemetry.Trace.capture trace (fun () ->
+              let session = create () in
+              Fun.protect
+                ~finally:(fun () -> Engine.Session.close session)
+                (fun () ->
+                  let r = s.run session p in
+                  s.render session p format Fmt.stdout r;
+                  s.failed session r)))
+    in
+    if failed then exit 2
+  in
+  Cmd.v
+    (Cmd.info s.name ~doc:s.doc)
+    Term.(
+      const run $ session_term s.session $ Surface.term s.params
+      $ format_arg ~doc:s.format_doc)
+
+let cache_cmd =
+  let module Json = Spd_telemetry.Json in
+  let module Metrics = Spd_telemetry.Metrics in
+  let stats_run dir json =
+    (* the engine registers the spd.cache.* counter family when it is
+       loaded, so the snapshot carries those names before any cell
+       fires them *)
+    let entries = ref 0 and bytes = ref 0 in
+    (match Sys.readdir dir with
+    | names ->
+        Array.iter
+          (fun n ->
+            if Filename.check_suffix n ".cache" then begin
+              incr entries;
+              match Unix.stat (Filename.concat dir n) with
+              | st -> bytes := !bytes + st.Unix.st_size
+              | exception Unix.Unix_error _ -> ()
+            end)
+          names
+    | exception Sys_error _ -> ());
+    let counter name =
+      match List.assoc_opt name (Metrics.snapshot ()) with
+      | Some (Metrics.Counter n) -> n
+      | _ -> 0
+    in
+    let fields =
+      [
+        ("dir", Json.String dir);
+        ("entries", Json.Int !entries);
+        ("bytes", Json.Int !bytes);
+        ("version", Json.String Engine.cache_version);
+        ("hits", Json.Int (counter "spd.cache.hit"));
+        ("misses", Json.Int (counter "spd.cache.miss"));
+        ("evictions", Json.Int (counter "spd.cache.evict"));
+      ]
+    in
+    if json then
+      print_endline
+        (Json.to_string
+           (Json.Obj (("schema", Json.String "spd-cache/1") :: fields)))
+    else
+      List.iter
+        (fun (k, v) ->
+          Fmt.pr "%-10s %s@." k
+            (match v with Json.String s -> s | v -> Json.to_string v))
+        fields
+  in
+  let dir_arg =
+    Arg.(
+      value
+      & opt string "_spd_cache"
+      & info [ "dir" ] ~docv:"DIR"
+          ~doc:"Cache directory (default $(b,_spd_cache)).")
+  in
+  let json_arg =
+    Arg.(
+      value & flag
+      & info [ "json" ] ~doc:"Emit one spd-cache/1 JSON object.")
+  in
+  Cmd.group
+    (Cmd.info "cache"
+       ~doc:
+         "Inspect the content-addressed on-disk result cache \
+          ($(b,_spd_cache/)).")
+    [
+      Cmd.v
+        (Cmd.info "stats"
+           ~doc:
+             "Entry count, total bytes, cache format version and the \
+              process's live $(b,spd.cache.hit)/$(b,miss)/$(b,evict) \
+              counters (also part of the Prometheus exposition).")
+        Term.(const stats_run $ dir_arg $ json_arg);
+    ]
+
+let graph_cmd =
+  let run file pipeline mem_latency func tree_id =
+    handle_errors (fun () ->
+        let p = prepare_src ~mem_latency pipeline (read_file file) in
+        (* default: the tree with the most active memory arcs *)
+        let best = ref None in
+        Spd_ir.Prog.iter_trees
+          (fun f (t : Spd_ir.Tree.t) ->
+            let matches =
+              (match func with Some n -> n = f | None -> true)
+              && match tree_id with Some i -> i = t.id | None -> true
+            in
+            if matches then
+              let n = List.length (Spd_ir.Tree.active_arcs t) in
+              match !best with
+              | Some (m, _) when m >= n -> ()
+              | _ -> best := Some (n, t))
+          p.prog;
+        match !best with
+        | None -> Fmt.epr "no matching tree@."; exit 1
+        | Some (_, t) ->
+            let g = Spd_analysis.Ddg.build ~mem_latency t in
+            Fmt.pr "%a@." Spd_analysis.Ddg.pp_dot g)
+  in
+  let func_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "f"; "function" ] ~docv:"NAME" ~doc:"Restrict to a function.")
+  in
+  let tree_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "t"; "tree" ] ~docv:"ID" ~doc:"Select a tree id.")
+  in
+  Cmd.v
+    (Cmd.info "graph"
+       ~doc:
+         "Emit the dependence graph of a tree in Graphviz DOT format           (default: the tree with the most memory arcs).")
+    Term.(
+      const run $ file_arg $ pipeline_arg $ mem_latency_arg $ func_arg
+      $ tree_arg)
+
+(* ------------------------------------------------------------------ *)
+(* The daemon and its one-shot client *)
+
+let default_socket = "_spd_serve.sock"
+
+let resolve_addr ~socket ~tcp =
+  match tcp with
+  | None -> Spd_serve.Protocol.Unix_path socket
+  | Some spec -> (
+      match Spd_serve.Protocol.addr_of_string ("tcp:" ^ spec) with
+      | Ok a -> a
+      | Error msg ->
+          Fmt.epr "spd: %s@." msg;
+          exit 1)
+
+let socket_arg =
+  Arg.(
+    value
+    & opt string default_socket
+    & info [ "socket" ] ~docv:"PATH"
+        ~doc:
+          (Printf.sprintf "Unix-domain socket path (default %s)."
+             default_socket))
+
+let tcp_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "tcp" ] ~docv:"HOST:PORT"
+        ~doc:"Listen on / connect to TCP instead of the Unix socket.")
+
+let serve_cmd =
+  let module Log = Spd_telemetry.Log in
+  let module Trace = Spd_telemetry.Trace in
+  let run socket tcp workers conn_timeout drain_deadline max_pending jobs
+      no_cache retries fuel deadline faults log log_level slow_ms trace =
+    let addr = resolve_addr ~socket ~tcp in
+    (* --log without --log-level defaults to info: a file sink wants the
+       request log, not just the warnings the stderr default shows *)
+    (match (log_level, log) with
+    | Some lvl, _ -> Log.set_level lvl
+    | None, Some _ -> Log.set_level Log.Info
+    | None, None -> ());
+    let session =
+      Engine.Session.create ?jobs ~disk_cache:(not no_cache) ?retries ?fuel
+        ?deadline ?faults ()
+    in
+    let serve () =
+      let server =
+        try
+          Spd_serve.Server.start ~workers ~conn_timeout ~drain_deadline
+            ~max_pending ?faults ?run_fuel:fuel ?run_deadline:deadline
+            ?slow_ms ~session addr
+        with Failure msg ->
+          Engine.Session.close session;
+          Fmt.epr "%s@." msg;
+          exit 1
+      in
+      (* SIGINT/SIGTERM start the same graceful drain as the shutdown
+         method: [stop] is idempotent and signal-safe *)
+      let stop _signum = Spd_serve.Server.stop server in
+      (try ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop))
+       with Invalid_argument _ | Sys_error _ -> ());
+      (try ignore (Sys.signal Sys.sigterm (Sys.Signal_handle stop))
+       with Invalid_argument _ | Sys_error _ -> ());
+      Fmt.pr "spd serve: listening on %a, %d worker domains@."
+        Spd_serve.Protocol.pp_addr addr (max 1 workers);
+      Fmt.pr "spd serve: stop with SIGINT/SIGTERM or the shutdown method@.";
+      Spd_serve.Server.wait server;
+      Fmt.pr "spd serve: stopped after %d requests@."
+        (Spd_serve.Server.served server);
+      Engine.Session.close session
+    in
+    (* [capture] writes the trace even when serving aborts; [with_file]
+       closes (and flushes) the log sink the same way *)
+    try Log.with_file log (fun () -> Trace.capture trace serve)
+    with Failure msg ->
+      Fmt.epr "spd serve: %s@." msg;
+      exit 1
+  in
+  let workers_arg =
+    Arg.(
+      value
+      & opt (pos_int_conv "--workers") 4
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Serve domains (default 4).")
+  in
+  let conn_timeout_arg =
+    Arg.(
+      value
+      & opt (pos_float_conv "--conn-timeout") 30.0
+      & info [ "conn-timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Per-connection frame deadline: a peer that takes longer \
+             than this to deliver one complete request (or to accept \
+             one response) is evicted (default 30).")
+  in
+  let drain_deadline_arg =
+    Arg.(
+      value
+      & opt (pos_float_conv "--drain-deadline") 10.0
+      & info [ "drain-deadline" ] ~docv:"SECONDS"
+          ~doc:
+            "On shutdown, let in-flight requests finish for up to this \
+             long before stopping hard (default 10).")
+  in
+  let max_pending_arg =
+    Arg.(
+      value
+      & opt (pos_int_conv "--max-pending") 64
+      & info [ "max-pending" ] ~docv:"N"
+          ~doc:
+            "Admission control: connections queued beyond the worker \
+             count before new ones are refused with a $(b,server busy) \
+             error (default 64).")
+  in
+  let log_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "log" ] ~docv:"FILE"
+          ~doc:
+            "Append structured $(b,spd-log/1) JSON-lines records to \
+             FILE (default: stderr at level warn).  Implies \
+             $(b,--log-level info) unless a level is given \
+             explicitly.")
+  in
+  let log_level_conv =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error
+            (fun e -> `Msg e)
+            (Spd_telemetry.Log.level_of_string s)),
+        fun ppf l -> Fmt.string ppf (Spd_telemetry.Log.level_to_string l) )
+  in
+  let log_level_arg =
+    Arg.(
+      value
+      & opt (some log_level_conv) None
+      & info [ "log-level" ] ~docv:"LEVEL"
+          ~doc:
+            "Log threshold: $(b,error), $(b,warn), $(b,info) or \
+             $(b,debug).")
+  in
+  let slow_ms_arg =
+    Arg.(
+      value
+      & opt (some (pos_float_conv "--slow-ms")) None
+      & info [ "slow-ms" ] ~docv:"MS"
+          ~doc:
+            "Log an $(b,rpc.slow) record, with a per-stage wall-clock \
+             breakdown, for every request at least this many \
+             milliseconds long.")
+  in
+  let serve_trace_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Write a Chrome trace-event JSON of the daemon's lifetime: \
+             one $(b,rpc:METHOD) span per request (tagged with its \
+             $(b,rid)) with the engine's cell and stage spans nested \
+             inside.  Written even when serving aborts.")
+  in
+  Cmd.v
+    (Cmd.info "serve"
+       ~doc:
+         "Run the experiment daemon: framed JSON-RPC over a socket, one \
+          shared engine session, so concurrent identical requests \
+          deduplicate onto one computation.  $(b,--fuel) and \
+          $(b,--deadline) bound every tenant's per-request quotas; \
+          $(b,--conn-timeout), $(b,--max-pending) and \
+          $(b,--drain-deadline) bound what misbehaving clients and \
+          shutdowns can cost; $(b,--log), $(b,--trace) and \
+          $(b,--slow-ms) make it observable.")
+    Term.(
+      const run $ socket_arg $ tcp_arg $ workers_arg $ conn_timeout_arg
+      $ drain_deadline_arg $ max_pending_arg $ jobs_arg $ no_cache_arg
+      $ retries_arg $ fuel_arg $ deadline_arg $ faults_arg $ log_arg
+      $ log_level_arg $ slow_ms_arg $ serve_trace_arg)
+
+let call_cmd =
+  let run meth params socket tcp retries format =
+    let addr = resolve_addr ~socket ~tcp in
+    (* --format prometheus is sugar for the metrics_prom method plus
+       printing its "text" member raw, ready for a scraper *)
+    let meth =
+      match format with
+      | `Json -> meth
+      | `Prometheus -> (
+          match meth with
+          | "metrics" | "metrics_prom" -> "metrics_prom"
+          | _ ->
+              Fmt.epr
+                "spd call: --format prometheus only applies to the \
+                 metrics method@.";
+              exit 1)
+    in
+    let params_json =
+      match params with
+      | None -> Spd_telemetry.Json.Obj []
+      | Some s -> (
+          match Spd_telemetry.Json.of_string s with
+          | Ok j -> j
+          | Error e ->
+              Fmt.epr "spd call: PARAMS is not valid JSON: %s@." e;
+              exit 1)
+    in
+    match
+      Spd_serve.Protocol.call_with_retries ~retries addr meth params_json
+    with
+    | Error e ->
+        Fmt.epr "spd call: %s@." e;
+        exit 1
+    | Ok result ->
+        (match format with
+        | `Prometheus -> (
+            match
+              Option.bind
+                (Spd_telemetry.Json.member "text" result)
+                Spd_telemetry.Json.to_string_opt
+            with
+            | Some text -> print_string text
+            | None ->
+                Fmt.epr "spd call: malformed metrics_prom response@.";
+                exit 1)
+        | `Json ->
+            print_string (Spd_telemetry.Json.to_string result);
+            print_newline ());
+        (* readiness-probe contract: health against a draining daemon
+           answers, but the exit code says "not ready" *)
+        if
+          meth = "health"
+          && Spd_telemetry.Json.member "draining" result
+             = Some (Spd_telemetry.Json.Bool true)
+        then exit 3
+  in
+  let meth_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"METHOD"
+          ~doc:
+            (match List.rev Spd_serve.Server.methods with
+            | last :: rest ->
+                Printf.sprintf "Daemon method: %s or %s."
+                  (String.concat ", " (List.rev rest)) last
+            | [] -> "Daemon method."))
+  in
+  let params_arg =
+    Arg.(
+      value
+      & pos 1 (some string) None
+      & info [] ~docv:"PARAMS"
+          ~doc:"Request parameters as one JSON object (default {}).")
+  in
+  let retries_arg =
+    Arg.(
+      value
+      & opt (pos_int_conv "--retries") 1
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Attempts before giving up (default 1).  Transport failures \
+             and $(b,server busy)/$(b,shutting down) errors are retried \
+             with exponential backoff, honoring the daemon's \
+             $(b,retry_after_ms) hint — enough to ride through a \
+             restart.")
+  in
+  let call_format_arg =
+    Arg.(
+      value
+      & opt (enum [ ("json", `Json); ("prometheus", `Prometheus) ]) `Json
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "$(b,json) (default) prints the result document; \
+             $(b,prometheus) (metrics method only) prints the text \
+             exposition format, ready for a scraper.")
+  in
+  Cmd.v
+    (Cmd.info "call"
+       ~doc:
+         "Send one JSON-RPC request to a running $(b,spd serve) daemon \
+          and print the JSON result on stdout.  $(b,spd call health) \
+          exits 3 when the daemon answers but is draining.")
+    Term.(
+      const run $ meth_arg $ params_arg $ socket_arg $ tcp_arg
+      $ retries_arg $ call_format_arg)
+
+let top_cmd =
+  let module Top = Spd_serve.Top in
+  let run socket tcp interval count =
+    let addr = resolve_addr ~socket ~tcp in
+    match Spd_serve.Protocol.connect addr with
+    | Error e ->
+        Fmt.epr "spd top: %s@." e;
+        exit 1
+    | Ok c ->
+        let tty = Unix.isatty Unix.stdout in
+        let stop = ref false in
+        (try
+           ignore
+             (Sys.signal Sys.sigint
+                (Sys.Signal_handle (fun _ -> stop := true)))
+         with Invalid_argument _ | Sys_error _ -> ());
+        let prev = ref None in
+        let frames = ref 0 in
+        let rc = ref 0 in
+        (try
+           while (not !stop) && (count = 0 || !frames < count) do
+             (match Top.fetch c with
+             | Error e ->
+                 Fmt.epr "spd top: %s@." e;
+                 rc := 1;
+                 raise Exit
+             | Ok s ->
+                 if tty then print_string "\027[H\027[2J";
+                 print_string (Top.render ?prev:!prev s);
+                 flush stdout;
+                 prev := Some s);
+             incr frames;
+             if (count = 0 || !frames < count) && not !stop then
+               Unix.sleepf interval
+           done
+         with Exit -> ());
+        Spd_serve.Protocol.close c;
+        if !rc <> 0 then exit !rc
+  in
+  let interval_arg =
+    Arg.(
+      value
+      & opt (pos_float_conv "--interval") 2.0
+      & info [ "interval" ] ~docv:"SECONDS"
+          ~doc:"Seconds between refreshes (default 2).")
+  in
+  let count_arg =
+    Arg.(
+      value
+      & opt int 0
+      & info [ "count" ] ~docv:"N"
+          ~doc:
+            "Stop after N frames (default 0: refresh until \
+             interrupted).  $(b,--count 1) prints one snapshot and \
+             exits — cron-friendly.")
+  in
+  Cmd.v
+    (Cmd.info "top"
+       ~doc:
+         "Live dashboard over a running $(b,spd serve) daemon: polls \
+          $(b,health) and $(b,metrics), differences consecutive \
+          samples, and shows RPS, in-flight requests, worker state, \
+          cache hit rate and per-method p50/p95/p99 latency, \
+          refreshing in place on a terminal.")
+    Term.(
+      const run $ socket_arg $ tcp_arg $ interval_arg $ count_arg)
+
+let list_cmd =
+  let run () =
+    List.iter
+      (fun (w : Spd_workloads.Workload.t) ->
+        Fmt.pr "%-10s %-9s %s@." w.name
+          (Spd_workloads.Workload.suite_name w.suite)
+          w.description)
+      Registry.all
+  in
+  Cmd.v
+    (Cmd.info "list" ~doc:"List the built-in benchmarks.")
+    Term.(const run $ const ())
+
+let main ?(prefix = []) argv =
+  let info =
+    Cmd.info "spd" ~version:"1.0.0"
+      ~doc:
+        "Speculative disambiguation for a guarded VLIW: compiler, \
+         scheduler, simulator and the ISCA'94 experiments."
+  in
+  let n = Array.length argv in
+  let argv =
+    if prefix <> [] then
+      Array.concat
+        [ [| argv.(0) |]; Array.of_list prefix; Array.sub argv 1 (n - 1) ]
+    else if
+      (* keep the historical [spd bench NAME] spelling working alongside
+         the bench subcommands *)
+      n >= 3
+      && argv.(1) = "bench"
+      && (not (List.mem argv.(2) bench_subcommands))
+      && String.length argv.(2) > 0
+      && argv.(2).[0] <> '-'
+    then
+      Array.concat
+        [ [| argv.(0); "bench"; "run" |]; Array.sub argv 2 (n - 2) ]
+    else argv
+  in
+  exit
+    (Cmd.eval ~argv
+       (Cmd.group info
+          ([ compile_cmd; run_cmd; bench_cmd ]
+          @ List.map surface_cmd Surface.table
+          @ [ serve_cmd; call_cmd; top_cmd; cache_cmd; graph_cmd; list_cmd ])))

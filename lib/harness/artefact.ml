@@ -20,12 +20,6 @@ let report_schema = "spd-report/1"
 
 type format = Pretty | Json | Csv
 
-let format_of_string = function
-  | "pretty" -> Some Pretty
-  | "json" -> Some Json
-  | "csv" -> Some Csv
-  | _ -> None
-
 type t = {
   name : string;  (** CLI name, e.g. ["table6_3"] *)
   title : string;  (** one-line description for [--list] *)
@@ -138,31 +132,31 @@ let to_json ~session (arts : t list) : Json.t =
       ("metrics", Metrics.snapshot_json (Metrics.snapshot ()));
     ]
 
-let render_csv ~session ppf (arts : t list) =
-  Fmt.pf ppf "%s@." Table.csv_header;
-  List.iter
-    (fun a ->
+let render_doc (format : format) ppf ~tables ~json =
+  match format with
+  | Pretty -> List.iter (Table.pp ppf) (tables ())
+  | Json -> Fmt.pf ppf "%s@." (Json.to_string (json ()))
+  | Csv ->
+      Fmt.pf ppf "%s@." Table.csv_header;
       List.iter
         (fun t -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines t))
-        (a.tables session))
-    arts;
-  (* metrics counters as a pseudo-table; histograms are summarised by
-     their count and sum *)
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Metrics.Counter n -> Fmt.pf ppf "metrics,%s,value,%d@." name n
-      | Metrics.Hist h ->
-          Fmt.pf ppf "metrics,%s,count,%d@." name h.count;
-          Fmt.pf ppf "metrics,%s,sum,%.17g@." name h.sum)
-    (Metrics.snapshot ())
+        (tables ())
 
 (** Render the given artefacts.  [Pretty] appends nothing extra (the
     CLIs add the failure appendix); [Json] emits one document, [Csv]
-    one header plus data lines. *)
+    one header plus data lines, then the metrics. *)
 let render ~session (format : format) ppf (arts : t list) =
-  match format with
-  | Pretty ->
-      List.iter (fun a -> List.iter (Table.pp ppf) (a.tables session)) arts
-  | Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ~session arts))
-  | Csv -> render_csv ~session ppf arts
+  render_doc format ppf
+    ~tables:(fun () -> List.concat_map (fun a -> a.tables session) arts)
+    ~json:(fun () -> to_json ~session arts);
+  if format = Csv then
+    (* metrics counters as a pseudo-table; histograms are summarised by
+       their count and sum *)
+    List.iter
+      (fun (name, v) ->
+        match v with
+        | Metrics.Counter n -> Fmt.pf ppf "metrics,%s,value,%d@." name n
+        | Metrics.Hist h ->
+            Fmt.pf ppf "metrics,%s,count,%d@." name h.count;
+            Fmt.pf ppf "metrics,%s,sum,%.17g@." name h.sum)
+      (Metrics.snapshot ())

@@ -11,7 +11,6 @@ val report_schema : string
 
 type format = Pretty | Json | Csv
 
-val format_of_string : string -> format option
 
 type t = {
   name : string;  (** CLI name, e.g. ["table6_3"] *)
@@ -40,6 +39,15 @@ val of_names : string list -> t list
     of every artefact, the recorded cell failures, and a metrics
     snapshot taken after all tables were built. *)
 val to_json : session:Engine.Session.t -> t list -> Spd_telemetry.Json.t
+
+(** Render one document: its tables ([Pretty]; [Csv] as one header
+    plus data lines) or its JSON ([Json]). *)
+val render_doc :
+  format ->
+  Format.formatter ->
+  tables:(unit -> Table.t list) ->
+  json:(unit -> Spd_telemetry.Json.t) ->
+  unit
 
 (** Render the given artefacts.  [Pretty] appends nothing extra (the
     CLIs add the failure appendix); [Json] emits one document, [Csv]

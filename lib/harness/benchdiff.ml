@@ -360,10 +360,7 @@ let to_json (t : t) : Json.t =
       ("changes", Json.List (List.map change_json t.changes));
     ]
 
-let render (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> Table.pp ppf (to_table t)
-  | Artefact.Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines (to_table t))
+let render format ppf (t : t) =
+  Artefact.render_doc format ppf
+    ~tables:(fun () -> [ to_table t ])
+    ~json:(fun () -> to_json t)

@@ -1,18 +1,13 @@
-(** Shared command-line flag parsers.
+(** Shared command-line flag parsers (see the .mli). *)
 
-    [bin/spd] (cmdliner) and [bench/main] (hand-rolled) historically
-    rejected a malformed [--fuel] or [--deadline] with different
-    messages; both now route through these parsers, so a bad flag gets
-    the same friendly one-line hint everywhere (including the daemon's
-    per-request quota errors, which reuse the wording). *)
-
-let pos_int ~flag s =
+let int_at_least min ~expects ~flag s =
   match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Ok n
-  | Some n ->
-      Error (Printf.sprintf "%s expects a positive integer, got %d" flag n)
-  | None ->
-      Error (Printf.sprintf "%s expects a positive integer, got %S" flag s)
+  | Some n when n >= min -> Ok n
+  | Some n -> Error (Printf.sprintf "%s expects %s, got %d" flag expects n)
+  | None -> Error (Printf.sprintf "%s expects %s, got %S" flag expects s)
+
+let pos_int = int_at_least 1 ~expects:"a positive integer"
+let nat = int_at_least 0 ~expects:"a non-negative integer"
 
 let pos_float ~flag s =
   match float_of_string_opt (String.trim s) with

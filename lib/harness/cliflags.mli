@@ -1,14 +1,15 @@
 (** Shared command-line flag parsers.
 
     One parser per flag shape, returning [Error] with a friendly
-    one-line hint naming the flag — used by both CLIs ([bin/spd] via
-    cmdliner converters, [bench/main] directly) and by the daemon's
-    per-request quota validation, so a malformed [--fuel]/[--deadline]
-    is rejected with identical wording everywhere. *)
+    one-line hint naming the flag — the converters of [spd]'s flags and
+    of the query surfaces' parameters ([Spd_serve.Surface]). *)
 
 (** [pos_int ~flag s] parses a positive (>= 1) integer;
     ["--fuel expects a positive integer, got \"x\""] otherwise. *)
 val pos_int : flag:string -> string -> (int, string) result
+
+(** [nat ~flag s] parses a non-negative integer. *)
+val nat : flag:string -> string -> (int, string) result
 
 (** [pos_float ~flag s] parses a positive, finite number of seconds. *)
 val pos_float : flag:string -> string -> (float, string) result

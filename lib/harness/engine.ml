@@ -19,7 +19,7 @@
       under [_spd_cache/], so warm re-runs skip lowering, profiling,
       SpD and scheduling entirely;
     - {b per-stage wall-clock instrumentation}, surfaced through
-      {!Session.stats} and rendered by [Report.timings].
+      {!Session.stats} and rendered by [Report.timings_tables].
 
     Results are deterministic in [jobs]: cells are pure, so the
     schedule changes only who computes a value, never the value. *)
@@ -143,6 +143,9 @@ end = struct
   type batch = {
     mutable remaining : int;
     mutable failed : (exn * Printexc.raw_backtrace) option;
+    backtraces : bool;
+        (* the submitting domain's backtrace recording: a spawned domain
+           starts with recording off, whatever its parent's status *)
   }
   type task = { run : unit -> unit; batch : batch }
 
@@ -163,6 +166,7 @@ end = struct
       spawned = false; shutdown = false; workers = [] }
 
   let run_task t task =
+    Printexc.record_backtrace task.batch.backtraces;
     (try task.run ()
      with e ->
        let bt = Printexc.get_raw_backtrace () in
@@ -205,7 +209,8 @@ end = struct
         ensure_spawned t;
         let arr = Array.of_list xs in
         let out = Array.make (Array.length arr) None in
-        let batch = { remaining = Array.length arr; failed = None } in
+        let backtraces = Printexc.backtrace_status () in
+        let batch = { remaining = Array.length arr; failed = None; backtraces } in
         Mutex.lock t.mu;
         Array.iteri
           (fun i x ->
@@ -260,7 +265,7 @@ type failure = {
 
 type 'a outcome = Ok of 'a | Failed of failure
 
-(** Raised by the raising accessors when the underlying cell failed. *)
+(** Raised by callers that need the value of a cell that failed. *)
 exception Cell_failed of failure
 
 let pp_failure ppf f =
@@ -750,8 +755,6 @@ module Session = struct
     in
     attempt 1
 
-  let get = function Ok v -> v | Failed f -> raise (Cell_failed f)
-
   (* ---------------------------------------------------------------- *)
   (* On-disk cache.  Keys are the MD5 of a canonical payload string;
      writes go through a unique temporary file and an atomic rename, so
@@ -1199,41 +1202,6 @@ module Session = struct
           (pair_outcome
              (summary_cell t (k Pipeline.Static))
              (summary_cell t (k Pipeline.Spec)))
-
-  (* deprecated raising shims: the historical per-artefact accessors,
-     each one [submit] plus a projection *)
-
-  let shim t ~bench ~latency artefact =
-    submit t (Query.v ~bench ~latency artefact)
-
-  let cycles t ~bench ~latency kind ~width =
-    get (to_int (shim t ~bench ~latency (Query.Cycles { kind; width })))
-
-  let code_size t ~bench ~latency kind =
-    get (to_int (shim t ~bench ~latency (Query.Code_size kind)))
-
-  let spd_counts t ~bench ~latency =
-    get (to_counts (shim t ~bench ~latency Query.Spd_counts))
-
-  let spd_dynamics t ~bench ~latency =
-    get (to_dynamics (shim t ~bench ~latency Query.Spd_dynamics))
-
-  let spd_decisions t ~bench ~latency =
-    get (to_decisions (shim t ~bench ~latency Query.Spd_decisions))
-
-  let spd_verdicts t ~bench ~latency =
-    get (to_verdicts (shim t ~bench ~latency Query.Spd_verdicts))
-
-  let speedup_over_naive t ~bench ~latency kind ~width =
-    get
-      (to_float
-         (shim t ~bench ~latency (Query.Speedup_over_naive { kind; width })))
-
-  let spec_over_static t ~bench ~latency ~width =
-    get (to_float (shim t ~bench ~latency (Query.Spec_over_static { width })))
-
-  let code_growth t ~bench ~latency =
-    get (to_float (shim t ~bench ~latency Query.Code_growth))
 
   (* ---------------------------------------------------------------- *)
 

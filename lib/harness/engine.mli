@@ -16,9 +16,7 @@
     {!value} {!outcome}.  Every consumer (the CLIs, the report
     builders, the [spd serve] daemon) goes through this single path,
     so a served request and the equivalent CLI invocation read the
-    same memoized cell and emit identical values.  The historical
-    per-artefact accessors survive as deprecated raising shims over
-    [submit].
+    same memoized cell and emit identical values.
 
     Failures are contained per cell: a cell that keeps raising after
     its retry budget is recorded as a {!failure} and surfaced as a
@@ -57,7 +55,8 @@ type failure = {
 
 type 'a outcome = Ok of 'a | Failed of failure
 
-(** Raised by the raising accessors when the underlying cell failed. *)
+(** Raised by callers that need the value of a cell that failed (e.g.
+    [Why.analyze]). *)
 exception Cell_failed of failure
 
 val pp_failure : Format.formatter -> failure -> unit
@@ -288,45 +287,6 @@ module Session : sig
       across latencies: the record differs only in its latency fields. *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
-
-  (** {1 Deprecated raising shims}
-
-    One per artefact kind, each a thin wrapper over {!submit} with the
-    historical signature; they raise {!Cell_failed} on a failed cell.
-    New code should build a {!Query.t} and call {!submit}. *)
-
-  val cycles :
-    t ->
-    bench:string ->
-    latency:int ->
-    Pipeline.kind ->
-    width:Spd_machine.Descr.width -> int
-
-  val code_size :
-    t -> bench:string -> latency:int -> Pipeline.kind -> int
-
-  val spd_counts : t -> bench:string -> latency:int -> int * int * int
-
-  val spd_dynamics : t -> bench:string -> latency:int -> Pipeline.dynamics
-
-  val spd_decisions :
-    t -> bench:string -> latency:int -> Spd_core.Heuristic.decision list
-
-  val spd_verdicts :
-    t -> bench:string -> latency:int -> Spd_validate.Validate.report list
-
-  val speedup_over_naive :
-    t ->
-    bench:string ->
-    latency:int ->
-    Pipeline.kind ->
-    width:Spd_machine.Descr.width -> float
-
-  val spec_over_static :
-    t ->
-    bench:string -> latency:int -> width:Spd_machine.Descr.width -> float
-
-  val code_growth : t -> bench:string -> latency:int -> float
 
   (** {1 Fan-out}
 

@@ -320,14 +320,3 @@ let to_json ?fn ?tree (t : t) : Json.t =
       ( "tables",
         Json.List (List.map Table.to_json (tables ?fn ?tree t)) );
     ]
-
-let render ?fn ?tree (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (tables ?fn ?tree t)
-  | Artefact.Json ->
-      Fmt.pf ppf "%s@." (Json.to_string (to_json ?fn ?tree t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (tables ?fn ?tree t)

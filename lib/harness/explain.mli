@@ -64,7 +64,3 @@ val tables : ?fn:string -> ?tree:int -> t -> Table.t list
 
 (** The [spd-explain/1] JSON document. *)
 val to_json : ?fn:string -> ?tree:int -> t -> Spd_telemetry.Json.t
-
-val render :
-  ?fn:string ->
-  ?tree:int -> Artefact.format -> Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-(** Experiments beyond the paper's evaluation section, implementing its
+(** Studies beyond the paper's evaluation section, implementing its
     discussion and future-work items:
 
     - {b hardware dynamic disambiguation} (section 2.3): the
@@ -12,20 +12,15 @@
 module W = Spd_workloads
 module H = Spd_core.Heuristic
 
-(** {1 Experiment data} — one table list per experiment, each taking
+(** {1 Study data} — one table list per study, each taking
     its session explicitly; see {!Report} for the data-then-render
     convention. *)
 
-val ext_dynamic_tables : Engine.Session.t -> Table.t list
-val ext_grafting_tables : Engine.Session.t -> Table.t list
-val ext_params_tables : Engine.Session.t -> Table.t list
-
 (** Extension A: SPEC vs hardware dynamic disambiguation windows. *)
-val ext_dynamic : Engine.Session.t -> Format.formatter -> unit -> unit
+val ext_dynamic_tables : Engine.Session.t -> Table.t list
 
 (** Extension B: the effect of tree grafting (loop unrolling) on SpD. *)
-val ext_grafting : Engine.Session.t -> Format.formatter -> unit -> unit
+val ext_grafting_tables : Engine.Session.t -> Table.t list
 
 (** Extension C: guidance heuristic parameter ablation. *)
-val ext_params : Engine.Session.t -> Format.formatter -> unit -> unit
-val all : Engine.Session.t -> Format.formatter -> unit -> unit
+val ext_params_tables : Engine.Session.t -> Table.t list

@@ -233,15 +233,10 @@ let to_json (t : t) : Json.t =
       ("workloads", Json.List (List.map sample_json t.samples));
     ]
 
-let render (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (to_tables t)
-  | Artefact.Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (to_tables t)
+let render format ppf (t : t) =
+  Artefact.render_doc format ppf
+    ~tables:(fun () -> to_tables t)
+    ~json:(fun () -> to_json t)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison (make perf-smoke) *)

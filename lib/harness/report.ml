@@ -553,21 +553,6 @@ let timings_tables s =
          (Engine.Stats.to_alist st));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Pretty wrappers, one per artefact (the historical interface) *)
-
-let render_tables tables s ppf () = List.iter (Table.pp ppf) (tables s)
-
-let table6_1 = render_tables table6_1_tables
-let table6_2 = render_tables table6_2_tables
-let table6_3 = render_tables table6_3_tables
-let table6_4 = render_tables table6_4_tables
-let fig6_2 = render_tables fig6_2_tables
-let fig6_3 = render_tables fig6_3_tables
-let fig6_4 = render_tables fig6_4_tables
-let spd_dynamics = render_tables spd_dynamics_tables
-let timings = render_tables timings_tables
-
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
     appended to artefact output by the CLIs, which also turn a
@@ -581,12 +566,3 @@ let failure_appendix s ppf () =
       Fmt.pf ppf "%s@." (String.make 72 '-');
       List.iter (fun f -> Fmt.pf ppf "%a@." Engine.pp_failure f) fs;
       Fmt.pf ppf "%s@." (String.make 72 '-')
-
-let all s ppf () =
-  table6_1 s ppf ();
-  table6_2 s ppf ();
-  table6_4 s ppf ();
-  table6_3 s ppf ();
-  fig6_2 s ppf ();
-  fig6_3 s ppf ();
-  fig6_4 s ppf ()

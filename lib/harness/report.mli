@@ -65,22 +65,8 @@ val spd_validate_tables : Engine.Session.t -> Table.t list
     run-dependent; the counter table is deterministic. *)
 val timings_tables : Engine.Session.t -> Table.t list
 
-(** {1 Pretty renderers} — thin wrappers over the table data above. *)
-
-val table6_1 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_2 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_3 : Engine.Session.t -> Format.formatter -> unit -> unit
-val table6_4 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_2 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_3 : Engine.Session.t -> Format.formatter -> unit -> unit
-val fig6_4 : Engine.Session.t -> Format.formatter -> unit -> unit
-val spd_dynamics : Engine.Session.t -> Format.formatter -> unit -> unit
-val timings : Engine.Session.t -> Format.formatter -> unit -> unit
-
 (** Failure appendix: every cell the session failed to compute, with
     the original exception.  Prints nothing when all cells succeeded —
     appended to artefact output by the CLIs, which also turn a
     non-empty appendix into a nonzero exit status. *)
 val failure_appendix : Engine.Session.t -> Format.formatter -> unit -> unit
-
-val all : Engine.Session.t -> Format.formatter -> unit -> unit

@@ -21,7 +21,6 @@
 module Json = Spd_telemetry.Json
 module V = Spd_validate.Validate
 module Verdict = Spd_validate.Verdict
-module Memdep = Spd_ir.Memdep
 module W = Spd_workloads
 
 let schema = "spd-validate/1"
@@ -38,10 +37,14 @@ type t = {
     [Refuted] verdict failed the validated preparation). *)
 let analyze ?(mem_latency = 2) session workload : t =
   ignore (W.Registry.by_name workload);
-  let reports =
-    Engine.Session.spd_verdicts session ~bench:workload ~latency:mem_latency
-  in
-  { workload; mem_latency; reports }
+  match
+    Engine.to_verdicts
+      (Engine.Session.submit session
+         (Engine.Query.v ~bench:workload ~latency:mem_latency
+            Engine.Query.Spd_verdicts))
+  with
+  | Engine.Ok reports -> { workload; mem_latency; reports }
+  | Engine.Failed f -> raise (Engine.Cell_failed f)
 
 let selected ?fn ?tree (t : t) : V.report list =
   List.filter
@@ -49,11 +52,6 @@ let selected ?fn ?tree (t : t) : V.report list =
       (match fn with Some f -> f = r.V.func | None -> true)
       && match tree with Some id -> id = r.V.tree_id | None -> true)
     t.reports
-
-let kind_name = function
-  | Memdep.Raw -> "raw"
-  | Memdep.War -> "war"
-  | Memdep.Waw -> "waw"
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -77,7 +75,7 @@ let report_json (r : V.report) : Json.t =
     [
       ("src", Json.Int (fst r.V.arc));
       ("dst", Json.Int (snd r.V.arc));
-      ("kind", Json.String (kind_name r.V.kind));
+      ("kind", Json.String (Why.kind_name r.V.kind));
       ("verdict", Json.String (Verdict.name r.V.verdict));
       ( "reason",
         match r.V.verdict with
@@ -156,7 +154,7 @@ let verdicts_table (t : t) (rs : V.report list) : Table.t =
            [
              Table.Text r.V.func;
              Table.Int r.V.tree_id;
-             Table.Text (kind_name r.V.kind);
+             Table.Text (Why.kind_name r.V.kind);
              Table.Text (verdict_text r);
              Table.Int r.V.stats.V.paths;
              Table.Int r.V.stats.V.splits;
@@ -184,19 +182,6 @@ let summary_table (t : t) (rs : V.report list) : Table.t =
 let tables ?fn ?tree (t : t) : Table.t list =
   let rs = selected ?fn ?tree t in
   [ verdicts_table t rs; summary_table t rs ]
-
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let render ?fn ?tree (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (tables ?fn ?tree t)
-  | Artefact.Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ?fn ?tree t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (tables ?fn ?tree t)
 
 (* ------------------------------------------------------------------ *)
 (* Grid certification ([spd report --validate]) *)

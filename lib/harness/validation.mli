@@ -48,10 +48,6 @@ val to_json : ?fn:string -> ?tree:int -> t -> Spd_telemetry.Json.t
 (** The verdict table and the summary table, optionally filtered. *)
 val tables : ?fn:string -> ?tree:int -> t -> Table.t list
 
-(** Render in any {!Artefact.format}. *)
-val render :
-  ?fn:string -> ?tree:int -> Artefact.format -> Format.formatter -> t -> unit
-
 (** {1 Grid certification ([spd report --validate])} *)
 
 type certification = {

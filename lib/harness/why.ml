@@ -31,10 +31,14 @@ type t = {
     {!Engine.Cell_failed} when the cell failed. *)
 let analyze ?(mem_latency = 2) session workload : t =
   ignore (W.Registry.by_name workload);
-  let decisions =
-    Engine.Session.spd_decisions session ~bench:workload ~latency:mem_latency
-  in
-  { workload; mem_latency; decisions }
+  match
+    Engine.to_decisions
+      (Engine.Session.submit session
+         (Engine.Query.v ~bench:workload ~latency:mem_latency
+            Engine.Query.Spd_decisions))
+  with
+  | Engine.Ok decisions -> { workload; mem_latency; decisions }
+  | Engine.Failed f -> raise (Engine.Cell_failed f)
 
 let selected ?fn ?tree (t : t) : H.decision list =
   List.filter
@@ -190,16 +194,3 @@ let summary_table (t : t) (ds : H.decision list) : Table.t =
 let tables ?fn ?tree (t : t) : Table.t list =
   let ds = selected ?fn ?tree t in
   List.map (decisions_table t) (groups ds) @ [ summary_table t ds ]
-
-(* ------------------------------------------------------------------ *)
-(* Rendering *)
-
-let render ?fn ?tree (format : Artefact.format) ppf (t : t) =
-  match format with
-  | Artefact.Pretty -> List.iter (Table.pp ppf) (tables ?fn ?tree t)
-  | Artefact.Json -> Fmt.pf ppf "%s@." (Json.to_string (to_json ?fn ?tree t))
-  | Artefact.Csv ->
-      Fmt.pf ppf "%s@." Table.csv_header;
-      List.iter
-        (fun tbl -> List.iter (Fmt.pf ppf "%s@.") (Table.to_csv_lines tbl))
-        (tables ?fn ?tree t)

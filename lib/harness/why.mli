@@ -55,7 +55,3 @@ val summary_table : t -> Spd_core.Heuristic.decision list -> Table.t
 (** Every table of a why run: per selected tree the decision table,
     then the summary over the same selection. *)
 val tables : ?fn:string -> ?tree:int -> t -> Table.t list
-
-val render :
-  ?fn:string ->
-  ?tree:int -> Artefact.format -> Format.formatter -> t -> unit

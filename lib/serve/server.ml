@@ -39,8 +39,6 @@ module Context = Spd_telemetry.Context
 module Engine = Spd_harness.Engine
 module Query = Spd_harness.Engine.Query
 module Pipeline = Spd_harness.Pipeline
-module Artefact = Spd_harness.Artefact
-module Explain = Spd_harness.Explain
 module Why = Spd_harness.Why
 module Validation = Spd_harness.Validation
 module Microbench = Spd_harness.Microbench
@@ -49,10 +47,8 @@ module Faults = Spd_harness.Faults
 let version = "1.1"
 
 let methods =
-  [
-    "ping"; "health"; "query"; "report"; "explain"; "why"; "validate";
-    "micro"; "run"; "metrics"; "metrics_prom"; "stats"; "shutdown";
-  ]
+  [ "ping"; "health"; "query" ] @ Surface.names
+  @ [ "micro"; "run"; "metrics"; "metrics_prom"; "stats"; "shutdown" ]
 
 let m_requests = Metrics.counter "spd.serve.requests"
 let m_errors = Metrics.counter "spd.serve.errors"
@@ -129,91 +125,23 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Request parameter decoding.  [Bad_params] maps to JSON-RPC error
+(* Request parameter decoding.  [Surface.Bad_params] maps to JSON-RPC error
    -32602 (invalid params); compile/simulate exceptions map to -32000
    (server error). *)
 
-exception Bad_params of string
 exception Unknown_method of string
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_params s)) fmt
+let bad fmt = Printf.ksprintf (fun s -> raise (Surface.Bad_params s)) fmt
 
 let obj_params = function
   | None | Some Json.Null -> Json.Obj []
   | Some (Json.Obj _ as o) -> o
-  | Some _ -> raise (Bad_params "\"params\" must be an object")
+  | Some _ -> bad "\"params\" must be an object"
 
-let opt_string name p =
-  match Json.member name p with
-  | None | Some Json.Null -> None
-  | Some (Json.String s) -> Some s
-  | Some _ -> bad "%S must be a string" name
+let opt_pos_int name p = Surface.(member name pos_int p)
+let opt_pos_float name p = Surface.(member name pos_float p)
 
-let req_string name p =
-  match opt_string name p with
-  | Some s -> s
-  | None -> bad "missing required parameter %S" name
-
-(* positive integer, with the same hint wording as the CLIs' --fuel /
-   --jobs flags (Cliflags) *)
-let opt_pos_int name p =
-  match Json.member name p with
-  | None | Some Json.Null -> None
-  | Some j -> (
-      match Json.to_number j with
-      | Some v when Float.is_integer v && v >= 1.0 ->
-          Some (int_of_float v)
-      | Some v -> bad "%S expects a positive integer, got %g" name v
-      | None -> bad "%S expects a positive integer" name)
-
-let opt_nat name p =
-  match Json.member name p with
-  | None | Some Json.Null -> None
-  | Some j -> (
-      match Json.to_number j with
-      | Some v when Float.is_integer v && v >= 0.0 ->
-          Some (int_of_float v)
-      | _ -> bad "%S expects a non-negative integer" name)
-
-let opt_pos_float name p =
-  match Json.member name p with
-  | None | Some Json.Null -> None
-  | Some j -> (
-      match Json.to_number j with
-      | Some v when v > 0.0 -> Some v
-      | Some v ->
-          bad "%S expects a positive number of seconds, got %g" name v
-      | None -> bad "%S expects a positive number of seconds" name)
-
-let opt_string_list name p =
-  match Json.member name p with
-  | None | Some Json.Null -> None
-  | Some (Json.List l) ->
-      Some
-        (List.map
-           (fun j ->
-             match Json.to_string_opt j with
-             | Some s -> s
-             | None -> bad "%S must be a list of strings" name)
-           l)
-  | Some _ -> bad "%S must be a list of strings" name
-
-let workload_names () =
-  W.Registry.names
-  @ List.map (fun (w : W.Workload.t) -> w.name) W.Registry.extras
-
-let require_workload name =
-  if not (List.mem name (workload_names ())) then
-    bad "unknown workload %S (one of: %s)" name
-      (String.concat ", " (workload_names ()))
-
-let pipeline_of_string s =
-  match String.lowercase_ascii s with
-  | "naive" -> Pipeline.Naive
-  | "static" -> Pipeline.Static
-  | "spec" -> Pipeline.Spec
-  | "perfect" -> Pipeline.Perfect
-  | _ -> bad "unknown pipeline %S (one of: naive, static, spec, perfect)" s
+let req_string name p = Surface.(required name string p)
 
 (* machine width: a positive integer number of FUs, or "inf" *)
 let opt_width p =
@@ -226,57 +154,41 @@ let opt_width p =
           Some (Spd_machine.Descr.Fus (int_of_float v))
       | _ -> bad "\"width\" expects a positive integer or \"inf\"")
 
-let opt_min_int a b =
+let opt_min a b =
   match (a, b) with
   | None, x | x, None -> x
   | Some a, Some b -> Some (min a b)
-
-let opt_min_float a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (Float.min a b)
 
 (* ------------------------------------------------------------------ *)
 (* Building engine queries from request parameters *)
 
 let query_of_params p =
   let bench = req_string "bench" p in
-  require_workload bench;
+  Surface.require_workload bench;
   let latency = Option.value ~default:2 (opt_pos_int "latency" p) in
   let fuel = opt_pos_int "fuel" p in
   let deadline = opt_pos_float "deadline" p in
-  let kind_for art =
-    match opt_string "pipeline" p with
-    | Some s -> pipeline_of_string s
-    | None -> bad "artefact %S needs a \"pipeline\"" art
+  let art = req_string "artefact" p in
+  let need name = function
+    | Some v -> v
+    | None -> bad "artefact %S needs a %S" art name
   in
-  let width_for art =
-    match opt_width p with
-    | Some w -> w
-    | None -> bad "artefact %S needs a \"width\"" art
-  in
+  let kind () = need "pipeline" Surface.(member "pipeline" pipeline p) in
+  let width () = need "width" (opt_width p) in
   let artefact =
-    match req_string "artefact" p with
-    | "cycles" ->
-        Query.Cycles { kind = kind_for "cycles"; width = width_for "cycles" }
-    | "hw-cycles" -> (
-        match opt_pos_int "window" p with
-        | Some window ->
-            Query.Hw_cycles { window; width = width_for "hw-cycles" }
-        | None -> bad "artefact \"hw-cycles\" needs a \"window\"")
-    | "code-size" -> Query.Code_size (kind_for "code-size")
+    match art with
+    | "cycles" -> Query.Cycles { kind = kind (); width = width () }
+    | "hw-cycles" ->
+        let window = need "window" (opt_pos_int "window" p) in
+        Query.Hw_cycles { window; width = width () }
+    | "code-size" -> Query.Code_size (kind ())
     | "spd-counts" -> Query.Spd_counts
     | "spd-dynamics" -> Query.Spd_dynamics
     | "spd-decisions" -> Query.Spd_decisions
     | "spd-validate" -> Query.Spd_verdicts
     | "speedup-over-naive" ->
-        Query.Speedup_over_naive
-          {
-            kind = kind_for "speedup-over-naive";
-            width = width_for "speedup-over-naive";
-          }
-    | "spec-over-static" ->
-        Query.Spec_over_static { width = width_for "spec-over-static" }
+        Query.Speedup_over_naive { kind = kind (); width = width () }
+    | "spec-over-static" -> Query.Spec_over_static { width = width () }
     | "code-growth" -> Query.Code_growth
     | s ->
         bad "unknown artefact %S (one of: %s)" s
@@ -308,6 +220,11 @@ let dynamics_json (d : Pipeline.dynamics) =
       ("squashed", Json.Int d.squashed);
     ]
 
+let with_coords func tree = function
+  | Json.Obj fields ->
+      Json.Obj (("func", Json.String func) :: ("tree", Json.Int tree) :: fields)
+  | j -> j
+
 let value_json : Engine.value -> Json.t = function
   | Engine.Int n -> Json.Int n
   | Engine.Float x -> Json.Float x
@@ -321,34 +238,22 @@ let value_json : Engine.value -> Json.t = function
       Json.List
         (List.map
            (fun (d : Spd_core.Heuristic.decision) ->
-             match Why.decision_json d with
-             | Json.Obj fields ->
-                 Json.Obj
-                   (("func", Json.String d.func)
-                   :: ("tree", Json.Int d.tree_id)
-                   :: fields)
-             | j -> j)
+             with_coords d.func d.tree_id (Why.decision_json d))
            ds)
   | Engine.Verdicts rs ->
-      (* ledger entries with their tree coordinates inlined; the
-         [validate] method serves the same entries inside the
-         spd-validate/1 document *)
+      (* likewise; the [validate] method serves the same entries inside
+         the spd-validate/1 document *)
       Json.List
         (List.map
            (fun (r : Spd_validate.Validate.report) ->
-             match Validation.report_json r with
-             | Json.Obj fields ->
-                 Json.Obj
-                   (("func", Json.String r.Spd_validate.Validate.func)
-                   :: ("tree", Json.Int r.Spd_validate.Validate.tree_id)
-                   :: fields)
-             | j -> j)
+             with_coords r.func r.tree_id (Validation.report_json r))
            rs)
 
 (* ------------------------------------------------------------------ *)
-(* Method dispatch.  Every result is either one of the repository's
-   existing schema documents (spd-report/1, spd-explain/1, spd-micro/1,
-   spd-metrics/1) or an spd-serve/1 object tagged with its "kind". *)
+(* Method dispatch.  The query surfaces are decoded and answered by
+   their {!Surface} descriptors; every other result is either one of
+   the repository's schema documents (spd-micro/1, spd-metrics/1) or an
+   spd-serve/1 object tagged with its "kind". *)
 
 let serve_doc kind fields =
   Json.Obj
@@ -381,8 +286,8 @@ let health_doc t =
       ("served", Json.Int (Atomic.get t.served));
     ]
 
-let dispatch t meth params : Json.t =
-  let p = obj_params params in
+(* the methods that are not query surfaces *)
+let handwritten t meth p : Json.t =
   match meth with
   | "ping" ->
       serve_doc "ping"
@@ -392,7 +297,7 @@ let dispatch t meth params : Json.t =
           ("methods", Json.List (List.map (fun m -> Json.String m) methods));
           ( "workloads",
             Json.List
-              (List.map (fun w -> Json.String w) (workload_names ())) );
+              (List.map (fun w -> Json.String w) W.Registry.known) );
           ( "artefacts",
             Json.List
               (List.map (fun a -> Json.String a) Query.artefact_names) );
@@ -415,76 +320,9 @@ let dispatch t meth params : Json.t =
                 ("error", Json.String (Printexc.to_string f.Engine.exn));
                 ("attempts", Json.Int f.Engine.attempts);
               ]))
-  | "report" ->
-      let names =
-        match Json.member "artefacts" p with
-        | None | Some Json.Null -> Artefact.paper_set
-        | Some (Json.List l) ->
-            List.map
-              (fun j ->
-                match Json.to_string_opt j with
-                | Some s -> s
-                | None -> bad "\"artefacts\" must be a list of names")
-              l
-        | Some _ -> bad "\"artefacts\" must be a list of names"
-      in
-      let arts =
-        List.map
-          (fun n ->
-            match Artefact.find n with
-            | Some a -> a
-            | None ->
-                bad "unknown artefact %S (one of: %s)" n
-                  (String.concat ", " (Artefact.names ())))
-          names
-      in
-      Artefact.to_json ~session:t.session arts
-  | "explain" ->
-      let workload = req_string "workload" p in
-      require_workload workload;
-      let width = Option.value ~default:5 (opt_pos_int "width" p) in
-      let mem_latency =
-        Option.value ~default:2 (opt_pos_int "mem_latency" p)
-      in
-      let fn = opt_string "fn" p in
-      let tree = opt_nat "tree" p in
-      let e = Explain.analyze ~width ~mem_latency t.session workload in
-      if Explain.selected ?fn ?tree e = [] then
-        bad "no tree of %S matches the fn/tree filter" workload;
-      Explain.to_json ?fn ?tree e
-  | "why" ->
-      let workload = req_string "workload" p in
-      require_workload workload;
-      let mem_latency =
-        Option.value ~default:2 (opt_pos_int "mem_latency" p)
-      in
-      let fn = opt_string "fn" p in
-      let tree = opt_nat "tree" p in
-      let w = Why.analyze ~mem_latency t.session workload in
-      (* an empty ledger is a valid answer; only a filter that matches
-         nothing is a caller error *)
-      if (fn <> None || tree <> None) && Why.selected ?fn ?tree w = [] then
-        bad "no ledger entry of %S matches the fn/tree filter" workload;
-      Why.to_json ?fn ?tree w
-  | "validate" ->
-      let workload = req_string "workload" p in
-      require_workload workload;
-      let mem_latency =
-        Option.value ~default:2 (opt_pos_int "mem_latency" p)
-      in
-      let fn = opt_string "fn" p in
-      let tree = opt_nat "tree" p in
-      let v = Validation.analyze ~mem_latency t.session workload in
-      (* an empty ledger (no SpD application) is a valid answer; only a
-         filter that matches nothing is a caller error *)
-      if
-        (fn <> None || tree <> None)
-        && Validation.selected ?fn ?tree v = []
-      then bad "no validation entry of %S matches the fn/tree filter" workload;
-      Validation.to_json ?fn ?tree v
   | "micro" ->
-      let workloads = opt_string_list "workloads" p in
-      Option.iter (List.iter require_workload) workloads;
+      let workloads = Surface.(member "workloads" strings p) in
+      Option.iter (List.iter Surface.require_workload) workloads;
       let mem_latency =
         Option.value ~default:2 (opt_pos_int "mem_latency" p)
       in
@@ -499,9 +337,8 @@ let dispatch t meth params : Json.t =
   | "run" ->
       let source = req_string "source" p in
       let kind =
-        match opt_string "pipeline" p with
-        | None -> Pipeline.Spec
-        | Some s -> pipeline_of_string s
+        Option.value ~default:Pipeline.Spec
+          Surface.(member "pipeline" pipeline p)
       in
       let mem_latency =
         Option.value ~default:2 (opt_pos_int "mem_latency" p)
@@ -511,9 +348,9 @@ let dispatch t meth params : Json.t =
       in
       (* inline source bypasses the session's grid cells, so the
          daemon's own caps bound these budgets instead *)
-      let fuel = opt_min_int t.run_fuel (opt_pos_int "fuel" p) in
+      let fuel = opt_min t.run_fuel (opt_pos_int "fuel" p) in
       let deadline =
-        opt_min_float t.run_deadline (opt_pos_float "deadline" p)
+        opt_min t.run_deadline (opt_pos_float "deadline" p)
       in
       let prog = Spd_lang.Lower.compile source in
       let config = Pipeline.Config.v ?fuel ?deadline ~mem_latency () in
@@ -574,8 +411,12 @@ let dispatch t meth params : Json.t =
   | "shutdown" -> serve_doc "shutdown" [ ("stopping", Json.Bool true) ]
   | m -> raise (Unknown_method m)
 
-(* the compile/simulate exceptions a [run] request can surface; wording
-   matches the spd CLI's handle_errors *)
+let dispatch t meth params =
+  let p = obj_params params in
+  match Surface.find meth with
+  | Some surface -> Surface.serve surface t.session p
+  | None -> handwritten t meth p
+
 let app_error_message = function
   | Spd_lang.Lexer.Error (msg, line) ->
       Some (Printf.sprintf "lexical error, line %d: %s" line msg)
@@ -634,7 +475,7 @@ let respond t ~id req : Json.t * bool =
               dispatch t meth params)
         with
         | result -> Protocol.response_ok ~rid ~id result
-        | exception Bad_params msg -> err Protocol.invalid_params msg
+        | exception Surface.Bad_params msg -> err Protocol.invalid_params msg
         | exception Unknown_method m ->
             err Protocol.method_not_found
               (Printf.sprintf "unknown method %S (one of: %s)" m
@@ -1127,4 +968,3 @@ let worker_restarts t = Atomic.get t.restarts
 let conn_timeouts t = Atomic.get t.timeouts
 let admission_rejected t = Atomic.get t.rejected
 let active_conns t = Atomic.get t.active_conns
-let in_flight t = Atomic.get t.in_flight

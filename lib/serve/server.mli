@@ -23,12 +23,11 @@
     [spd.serve.admission.rejected]); {!stop} drains in-flight requests
     under a deadline instead of dropping them.
 
-    Methods: [ping], [health], [query], [report], [explain], [why],
-    [micro], [run], [metrics], [metrics_prom], [stats], [shutdown].
-    [report]
-    responses reuse {!Spd_harness.Artefact.to_json} verbatim, which is
-    what makes a served report byte-identical to [spd report --format
-    json] (modulo the run-dependent ["metrics"] member).
+    Methods: {!methods}.  The query surfaces among them are decoded and
+    answered by their {!Surface} descriptors, the same ones [spd]'s
+    subcommands are built from, which is what makes a served document
+    byte-identical to the CLI's [--format json] output (for [report],
+    modulo the run-dependent ["metrics"] member).
 
     Observability: the daemon assigns every RPC a request id, runs its
     dispatch under that id as the ambient {!Spd_telemetry.Context}
@@ -47,7 +46,9 @@ type t
 (** Daemon version string, reported by [ping]. *)
 val version : string
 
-(** The methods the daemon understands, reported by [ping]. *)
+(** The methods the daemon understands, reported by [ping]: the
+    administrative ones, the names of {!Surface.table}, and the
+    hand-written [micro] and [run]. *)
 val methods : string list
 
 (** [start ~session addr] binds [addr], spawns the acceptor and
@@ -89,6 +90,11 @@ val stop : t -> unit
     listening socket and unlink a Unix-domain socket path. *)
 val wait : t -> unit
 
+(** The one-line message of a compile or simulate error (lexical,
+    syntax, type, lowering or runtime), the answer to a [run] request
+    that raised it; [None] for any other exception. *)
+val app_error_message : exn -> string option
+
 (** Requests answered so far (all methods, errors included). *)
 val served : t -> int
 
@@ -111,6 +117,3 @@ val admission_rejected : t -> int
 
 (** Connections currently claimed by a worker. *)
 val active_conns : t -> int
-
-(** Requests currently between decode and response write. *)
-val in_flight : t -> int

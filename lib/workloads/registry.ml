@@ -30,6 +30,7 @@ let by_name name =
   | None -> invalid_arg (Printf.sprintf "unknown workload %s" name)
 
 let names = List.map (fun (w : Workload.t) -> w.name) all
+let known = names @ List.map (fun (w : Workload.t) -> w.name) extras
 
 (** Source line count, for the Table 6-2 printout. *)
 let lines (w : Workload.t) =

@@ -13,5 +13,8 @@ val nrc : Workload.t list
 val by_name : string -> Workload.t
 val names : string list
 
+(** Every name a request may use: [names], then the extras. *)
+val known : string list
+
 (** Source line count, for the Table 6-2 printout. *)
 val lines : Workload.t -> int

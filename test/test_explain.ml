@@ -36,7 +36,7 @@ let explain name =
   | Some t -> t
   | None ->
       let t =
-        Spd_harness.Experiment.with_session
+        Test_harness.with_session
           (Spd_harness.Engine.Session.create ~jobs:1 ())
           (fun s -> Explain.analyze s name)
       in

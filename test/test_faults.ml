@@ -8,6 +8,11 @@ module Faults = H.Faults
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* moment's Table 6-3 row; raises [Cell_failed] when the cell failed *)
+let counts s ~latency =
+  Test_harness.ask s ~bench:"moment" ~latency Engine.to_counts
+    Engine.Query.Spd_counts
+
 let parse_ok spec =
   match Faults.parse spec with
   | Ok f -> f
@@ -104,7 +109,7 @@ let test_checker_raise_contained () =
         | _ -> false)
   | Engine.Ok _ -> Alcotest.fail "expected Failed outcome");
   (* the budget is spent: sibling cells run their checkers cleanly *)
-  ignore (Engine.Session.spd_counts s ~bench:"moment" ~latency:6);
+  ignore (counts s ~latency:6);
   check_int "only the faulted cell failed" 1
     (List.length (Engine.Session.failures s))
 
@@ -115,7 +120,7 @@ let test_checker_raise_renders_na () =
   Test_harness.with_session
     (Engine.Session.create ~jobs:1 ~faults ())
     (fun s ->
-      let table = Test_harness.render (H.Report.table6_3 s) in
+      let table = Test_harness.pretty s "table6_3" in
       let appendix = Test_harness.render (H.Report.failure_appendix s) in
       check_bool "faulted table renders n/a" true
         (Test_harness.contains table "n/a");
@@ -132,12 +137,12 @@ let test_retry_then_succeed () =
   let clean =
     let s = Engine.Session.create ~jobs:1 () in
     Fun.protect ~finally:(fun () -> Engine.Session.close s) @@ fun () ->
-    Engine.Session.spd_counts s ~bench:"moment" ~latency:2
+    counts s ~latency:2
   in
   let faults = parse_ok "cell-raise:moment/2/SPEC/summary@1" in
   let s = Engine.Session.create ~jobs:1 ~retries:2 ~faults () in
   Fun.protect ~finally:(fun () -> Engine.Session.close s) @@ fun () ->
-  let got = Engine.Session.spd_counts s ~bench:"moment" ~latency:2 in
+  let got = counts s ~latency:2 in
   check_bool "value identical to clean session" true (got = clean);
   let st = Engine.Session.stats s in
   check_int "one retry recorded" 1 st.Engine.Stats.cell_retries;
@@ -145,8 +150,8 @@ let test_retry_then_succeed () =
   check_bool "failures list empty" true (Engine.Session.failures s = [])
 
 (* Without a retry budget the same fault becomes a contained failure:
-   the outcome is [Failed], the raising accessor raises [Cell_failed],
-   and sibling cells still compute. *)
+   the outcome is [Failed], and stays [Failed] on a second submit, and
+   sibling cells still compute. *)
 
 let test_contained_failure () =
   let faults = parse_ok "cell-raise:moment/2/SPEC/summary" in
@@ -160,15 +165,15 @@ let test_contained_failure () =
       check_bool "failure key names the cell" true
         (f.Engine.key = "moment/2/SPEC/summary")
   | Engine.Ok _ -> Alcotest.fail "expected Failed outcome");
-  check_bool "raising accessor raises Cell_failed" true
-    (match Engine.Session.spd_counts s ~bench:"moment" ~latency:2 with
+  check_bool "a second submit is Failed too" true
+    (match counts s ~latency:2 with
     | _ -> false
-    | exception Engine.Cell_failed _ -> true);
+    | exception Engine.Cell_failed f -> f.Engine.key = "moment/2/SPEC/summary");
   (* the failure was memoized, not recomputed *)
   check_int "one failure recorded" 1
     (Engine.Session.stats s).Engine.Stats.cell_failures;
   (* sibling cells are unaffected *)
-  ignore (Engine.Session.spd_counts s ~bench:"moment" ~latency:6);
+  ignore (counts s ~latency:6);
   check_int "sibling cell computed" 1
     (List.length (Engine.Session.failures s))
 
@@ -179,14 +184,14 @@ let test_contained_failure () =
 let test_report_renders_na () =
   let clean =
     Test_harness.with_session (Engine.Session.create ~jobs:1 ()) (fun s ->
-        Test_harness.render (H.Report.table6_3 s))
+        Test_harness.pretty s "table6_3")
   in
   let faults = parse_ok "cell-raise:moment/2/SPEC" in
   let faulted, appendix =
     Test_harness.with_session
       (Engine.Session.create ~jobs:2 ~faults ())
       (fun s ->
-        let table = Test_harness.render (H.Report.table6_3 s) in
+        let table = Test_harness.pretty s "table6_3" in
         let appendix =
           Test_harness.render (H.Report.failure_appendix s)
         in
@@ -273,7 +278,7 @@ let test_cache_self_healing () =
   in
   Test_harness.rm_rf dir;
   Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
-  let render s = Test_harness.render (H.Report.table6_3 s) in
+  let render s = Test_harness.pretty s "table6_3" in
   let cold =
     Test_harness.with_session
       (Engine.Session.create ~jobs:2 ~disk_cache:true ~cache_dir:dir ())
@@ -314,7 +319,7 @@ let test_cache_corrupt_fault () =
   in
   Test_harness.rm_rf dir;
   Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
-  let render s = Test_harness.render (H.Report.table6_3 s) in
+  let render s = Test_harness.pretty s "table6_3" in
   let cold =
     Test_harness.with_session
       (Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir ())

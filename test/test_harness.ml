@@ -84,18 +84,33 @@ let prop_spd_finds_the_helper =
         spec.applications)
 
 (* ------------------------------------------------------------------ *)
-(* Experiment memoization *)
+(* Session memoization *)
 
-let with_session = H.Experiment.with_session
+let with_session s f =
+  Fun.protect ~finally:(fun () -> H.Engine.Session.close s) (fun () -> f s)
+
+let get = function
+  | H.Engine.Ok v -> v
+  | H.Engine.Failed f -> raise (H.Engine.Cell_failed f)
+
+(* [submit] plus a projection of its value; a failed cell raises
+   [Cell_failed] *)
+let ask s ~bench ~latency project artefact =
+  get
+    (project
+       (H.Engine.Session.submit s (H.Engine.Query.v ~bench ~latency artefact)))
 
 let test_experiment_memoizes () =
   with_session (H.Engine.Session.create ~jobs:1 ()) @@ fun s ->
+  let cycles () =
+    ask s ~bench:"moment" ~latency:2 H.Engine.to_int
+      (H.Engine.Query.Cycles
+         { kind = Pipeline.Spec; width = Spd_machine.Descr.Fus 4 })
+  in
   let t0 = Unix.gettimeofday () in
-  let a = H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
-      ~width:(Spd_machine.Descr.Fus 4) in
+  let a = cycles () in
   let t1 = Unix.gettimeofday () in
-  let b = H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
-      ~width:(Spd_machine.Descr.Fus 4) in
+  let b = cycles () in
   let t2 = Unix.gettimeofday () in
   check_int "same result" a b;
   (* the second call is a table lookup; allow generous slack *)
@@ -117,6 +132,12 @@ let render f =
   Fmt.flush ppf ();
   Buffer.contents buf
 
+(* an artefact's pretty rendering, through the registry *)
+let pretty s name =
+  render (fun ppf () ->
+      H.Artefact.render ~session:s H.Artefact.Pretty ppf
+        (H.Artefact.of_names [ name ]))
+
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
@@ -124,16 +145,16 @@ let contains hay needle =
 
 let test_reports_render () =
   with_session (H.Engine.Session.create ~jobs:1 ()) @@ fun s ->
-  let t62 = render (H.Report.table6_2 s) in
+  let t62 = pretty s "table6_2" in
   List.iter
     (fun (w : Spd_workloads.Workload.t) ->
       check_bool (w.name ^ " listed") true (contains t62 w.name))
     Spd_workloads.Registry.all;
-  let t64 = render (H.Report.table6_4 s) in
+  let t64 = pretty s "table6_4" in
   List.iter
     (fun k -> check_bool (k ^ " described") true (contains t64 k))
     [ "NAIVE"; "STATIC"; "SPEC"; "PERFECT" ];
-  let t61 = render (H.Report.table6_1 s) in
+  let t61 = pretty s "table6_1" in
   check_bool "branch latency shown" true (contains t61 "Branches")
 
 (* ------------------------------------------------------------------ *)
@@ -147,9 +168,7 @@ module Query = H.Engine.Query
 (* the three deterministic grid artefacts, rendered through one
    explicit session *)
 let grid_render s =
-  render (H.Report.table6_3 s)
-  ^ render (H.Report.fig6_2 s)
-  ^ render (H.Report.fig6_3 s)
+  pretty s "table6_3" ^ pretty s "fig6_2" ^ pretty s "fig6_3"
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -217,13 +236,17 @@ let test_stats_pp_stable_across_jobs () =
    version, and alias-version stores squash. *)
 let test_spd_dynamics_counts () =
   with_session (Engine.Session.create ~jobs:2 ()) @@ fun s ->
-  let d = H.Experiment.spd_dynamics s ~bench:"perm" ~latency:2 in
+  let d =
+    ask s ~bench:"perm" ~latency:2 Engine.to_dynamics Query.Spd_dynamics
+  in
   check_bool "perm has transformed regions" true (d.Pipeline.regions <> []);
   check_bool "no-alias commits observed" true
     (List.exists
        (fun (r : Pipeline.region_dynamics) -> r.noalias_commits > 0)
        d.Pipeline.regions);
-  let adi = H.Experiment.spd_dynamics s ~bench:"adi" ~latency:2 in
+  let adi =
+    ask s ~bench:"adi" ~latency:2 Engine.to_dynamics Query.Spd_dynamics
+  in
   check_bool "adi squashes alias-version stores" true
     (adi.Pipeline.squashed > 0);
   (* every traversal of a region commits exactly one of its versions *)
@@ -304,21 +327,19 @@ let cycles_q ?fuel ?deadline () =
   Query.v ?fuel ?deadline ~bench:"moment" ~latency:2
     (Query.Cycles { kind = Pipeline.Spec; width = Spd_machine.Descr.Fus 4 })
 
-let get = function
-  | Engine.Ok v -> v
-  | Engine.Failed f -> raise (Engine.Cell_failed f)
-
 let test_query_submit () =
   with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
-  (* submit and the deprecated shim answer identically *)
-  let via_query =
-    Engine.to_int (Engine.Session.submit s (cycles_q ()))
-  in
-  let via_shim =
-    H.Experiment.cycles s ~bench:"moment" ~latency:2 Pipeline.Spec
+  (* submit answers what the pipeline computes directly *)
+  let via_query = Engine.to_int (Engine.Session.submit s (cycles_q ())) in
+  let direct =
+    Pipeline.cycles
+      (Pipeline.prepare
+         ~config:(Pipeline.Config.v ~mem_latency:2 ())
+         Pipeline.Spec
+         (compile (Spd_workloads.Registry.by_name "moment").source))
       ~width:(Spd_machine.Descr.Fus 4)
   in
-  check_int "submit = shim" (get via_query) via_shim;
+  check_int "submit = direct pipeline" direct (get via_query);
   (* keys are stable, human-readable coordinates *)
   check_bool "key spells the cell" true
     (Query.key (cycles_q ()) = "moment/2/cycles/SPEC/fus4");
@@ -520,7 +541,9 @@ let test_why_agrees_with_counts () =
     (fun latency ->
       List.iter
         (fun bench ->
-          let ds = H.Experiment.spd_decisions s ~bench ~latency in
+          let ds =
+            ask s ~bench ~latency Engine.to_decisions Query.Spd_decisions
+          in
           let applied = Spd_core.Heuristic.applied_decisions ds in
           let row =
             List.fold_left
@@ -535,7 +558,7 @@ let test_why_agrees_with_counts () =
             (Printf.sprintf "%s/lat%d: ledger row = spd-counts row" bench
                latency)
             true
-            (row = H.Experiment.spd_counts s ~bench ~latency))
+            (row = ask s ~bench ~latency Engine.to_counts Query.Spd_counts))
         (H.Report.benches ()))
     [ 2; 6 ];
   (* the aggregate artefact is registered and builds from the same

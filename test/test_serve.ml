@@ -13,6 +13,7 @@ module Engine = H.Engine
 module Json = Spd_telemetry.Json
 module Protocol = Spd_serve.Protocol
 module Server = Spd_serve.Server
+module Surface = Spd_serve.Surface
 
 let case name f = Alcotest.test_case name `Quick f
 let uniq = Atomic.make 0
@@ -607,6 +608,134 @@ let test_health_log_counters () =
   check_bool "log_records" true (num (member "log_records" r) >= 0.0);
   check_bool "log_dropped" true (num (member "log_dropped" r) >= 0.0)
 
+(* ------------------------------------------------------------------ *)
+(* The surface table: one descriptor per query surface, both front ends
+   derived from it *)
+
+(* for every descriptor, a parameter set spelled as spd argv and as an
+   RPC params object *)
+let parity_cases =
+  [
+    ( "report",
+      [ "table6_4" ],
+      [ ("artefacts", Json.List [ Json.String "table6_4" ]) ] );
+    ( "explain",
+      [ "adi"; "--fn"; "trisolve"; "-w"; "4"; "--mem-latency"; "6" ],
+      [
+        ("workload", Json.String "adi");
+        ("fn", Json.String "trisolve");
+        ("width", Json.Int 4);
+        ("mem_latency", Json.Int 6);
+      ] );
+    ( "why",
+      [ "adi"; "-m"; "6"; "-f"; "trisolve"; "--tree"; "1" ],
+      [
+        ("workload", Json.String "adi");
+        ("mem_latency", Json.Int 6);
+        ("fn", Json.String "trisolve");
+        ("tree", Json.Int 1);
+      ] );
+    ( "validate",
+      [ "perm"; "-f"; "swap_elems"; "-t"; "0" ],
+      [
+        ("workload", Json.String "perm");
+        ("fn", Json.String "swap_elems");
+        ("tree", Json.Int 0);
+      ] );
+  ]
+
+(* a report's metrics snapshot is run-dependent; it is the last member *)
+let without_metrics doc =
+  let key = ",\"metrics\":" in
+  let n = String.length key in
+  let rec find i =
+    if i + n > String.length doc then doc
+    else if String.sub doc i n = key then String.sub doc 0 i
+    else find (i + 1)
+  in
+  find 0
+
+let test_surface_parity () =
+  Test_harness.with_session (Engine.Session.create ~jobs:1 ())
+  @@ fun session ->
+  check_bool "every descriptor has a case" true
+    (List.sort compare Surface.names
+    = List.sort compare (List.map (fun (n, _, _) -> n) parity_cases));
+  List.iter
+    (fun (name, argv, members) ->
+      match Surface.find name with
+      | None -> Alcotest.failf "no surface %s" name
+      | Some (Surface.Surface s as surface) ->
+          let cli =
+            match
+              Cmdliner.Cmd.eval_value
+                ~argv:(Array.of_list (name :: argv))
+                (Cmdliner.Cmd.v (Cmdliner.Cmd.info name)
+                   (Surface.term s.params))
+            with
+            | Ok (`Ok thunk) -> thunk ()
+            | _ -> Alcotest.failf "%s: argv rejected" name
+          in
+          let rpc = Surface.of_json s.params (Json.Obj members) in
+          check_bool (name ^ ": argv and RPC params decode equal") true
+            (cli = rpc);
+          let printed =
+            Test_harness.render (fun ppf () ->
+                s.render session cli H.Artefact.Json ppf (s.run session cli))
+          in
+          let served =
+            Json.to_string (Surface.serve surface session (Json.Obj members))
+          in
+          check_string (name ^ ": CLI and served documents byte-equal")
+            (without_metrics served)
+            (without_metrics (String.trim printed)))
+    parity_cases
+
+let test_methods_derived () =
+  check_bool "methods = surfaces + admin + micro/run" true
+    (List.sort compare Server.methods
+    = List.sort compare
+        (Surface.names
+        @ [ "ping"; "health"; "query"; "metrics"; "metrics_prom"; "stats";
+            "shutdown"; "micro"; "run" ]))
+
+(* [spd bench NAME] prints what [Query.Cycles] answers, which is what
+   the pipeline computes directly *)
+let test_bench_table () =
+  Test_harness.with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
+  let width = Spd_machine.Descr.Fus 5 in
+  let out =
+    Test_harness.render (fun ppf () ->
+        Spd_cli.Cli.bench_table s ~bench:"moment" ~mem_latency:6 ~width ppf)
+  in
+  let lowered =
+    Util.compile (Spd_workloads.Registry.by_name "moment").source
+  in
+  List.iter
+    (fun kind ->
+      let queried =
+        match
+          Engine.Session.submit s
+            (Engine.Query.v ~bench:"moment" ~latency:6
+               (Engine.Query.Cycles { kind; width }))
+        with
+        | Engine.Ok (Engine.Int n) -> n
+        | _ -> Alcotest.fail "Query.Cycles failed"
+      in
+      let direct =
+        H.Pipeline.cycles
+          (H.Pipeline.prepare
+             ~config:(H.Pipeline.Config.v ~mem_latency:6 ())
+             kind lowered)
+          ~width
+      in
+      check_int (H.Pipeline.name kind ^ ": Query.Cycles = pipeline") direct
+        queried;
+      check_bool (H.Pipeline.name kind ^ " row prints the queried cycles") true
+        (Test_harness.contains out
+           (Printf.sprintf "%-8s %10d" (H.Pipeline.name kind) queried)))
+    H.Pipeline.all
+
 let tests =
   [
     case "ping over a unix socket" test_ping;
@@ -633,4 +762,7 @@ let tests =
     case "slow-request log with stage breakdown" test_slow_request_log;
     case "spd top sampling and rendering" test_top_sampling;
     case "health carries log counters" test_health_log_counters;
+    case "surface parity: argv = RPC params" test_surface_parity;
+    case "methods derived from the surface table" test_methods_derived;
+    case "spd bench NAME = Query.Cycles" test_bench_table;
   ]

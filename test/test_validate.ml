@@ -14,7 +14,7 @@ module Verdict = Spd_validate.Verdict
 
 let case name f = Alcotest.test_case name `Quick f
 let qcase = QCheck_alcotest.to_alcotest
-let with_session = H.Experiment.with_session
+let with_session = Test_harness.with_session
 
 (* ------------------------------------------------------------------ *)
 (* Capturing (before, application, after) triples: run the heuristic
@@ -42,10 +42,13 @@ let test_paper_grid_proved () =
     (fun latency ->
       List.iter
         (fun bench ->
-          let reports = Engine.Session.spd_verdicts s ~bench ~latency in
+          let ask project artefact =
+            Test_harness.ask s ~bench ~latency project artefact
+          in
+          let reports = ask Engine.to_verdicts Engine.Query.Spd_verdicts in
           let applied =
             Spd_core.Heuristic.applied_decisions
-              (H.Experiment.spd_decisions s ~bench ~latency)
+              (ask Engine.to_decisions Engine.Query.Spd_decisions)
           in
           check_int
             (Printf.sprintf "%s/lat%d: one verdict per application" bench
