@@ -510,8 +510,11 @@ let bench_cmd =
 (* how a surface's command builds its session, and where it writes a
    trace *)
 let session_term = function
-  | Surface.No_flags ->
-      Term.const ((fun () -> Engine.Session.create ~jobs:1 ()), None)
+  | Surface.Fault_flags ->
+      Term.(
+        const (fun faults ->
+            ((fun () -> Engine.Session.create ~jobs:1 ?faults ()), None))
+        $ faults_arg)
   | Surface.Pool_flags ->
       Term.(
         const (fun jobs no_cache ->

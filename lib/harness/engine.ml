@@ -44,7 +44,7 @@ module Clock = Spd_telemetry.Clock
 let m_lowerings = M.counter "spd.engine.lowerings"
 let m_preparations = M.counter "spd.engine.preparations"
 let m_simulations = M.counter "spd.engine.simulations"
-let m_observations = M.counter "spd.engine.observations"
+let m_traces = M.counter "spd.engine.traces"
 let m_static_runs = M.counter "spd.engine.static_runs"
 let m_profiles = M.counter "spd.engine.profiles"
 let m_spd_runs = M.counter "spd.engine.spd_runs"
@@ -452,7 +452,7 @@ module Stats = struct
     lowerings : int;  (** source programs compiled to IR *)
     preparations : int;  (** pipelines actually run (not cache hits) *)
     simulations : int;  (** schedule+simulate runs actually performed *)
-    observations : int;  (** NAIVE ground-truth observations run *)
+    traces : int;  (** trace nodes computed: one per distinct program *)
     static_runs : int;  (** static disambiguations run *)
     profiles : int;  (** profiling runs *)
     spd_runs : int;  (** SpD heuristic runs *)
@@ -479,12 +479,12 @@ module Stats = struct
         ("disk_hits", t.disk_hits);
         ("disk_misses", t.disk_misses);
         ("lowerings", t.lowerings);
-        ("observations", t.observations);
         ("preparations", t.preparations);
         ("profiles", t.profiles);
         ("simulations", t.simulations);
         ("spd_runs", t.spd_runs);
         ("static_runs", t.static_runs);
+        ("traces", t.traces);
       ]
 
   let pp ppf t =
@@ -513,11 +513,13 @@ module Session = struct
   }
 
   (* Stage-node keys.  A node is keyed by exactly its inputs: the NAIVE
-     and STATIC programs by (bench, graft); the nodes that run the
-     simulator (observation, profiles) also by the request budget, so a
-     starved budget fails its own node and never a shared one. *)
+     and STATIC programs by (bench, graft); the profiles also by the
+     request budget, so a starved budget fails its own node and never a
+     shared one; a trace by the digest of the program's interpreted
+     content and the effective budget. *)
   type front = string * bool
   type sim_key = front * int option * float option
+  type trace_key = Digest.t * int option * float option
 
   (* every on-disk entry is one of these, Marshal'd; constructor names
      are irrelevant to Marshal (tags are positional) but their order is
@@ -540,7 +542,8 @@ module Session = struct
     lowered_memo : (string, Spd_ir.Prog.t) Memo.t;
     naive_memo : (front, Spd_ir.Prog.t) Memo.t;
     static_memo : (front, Spd_ir.Prog.t) Memo.t;
-    observed_memo : (sim_key, Pipeline.observation) Memo.t;
+    trace_memo : (trace_key, string * Pipeline.trace) Memo.t;
+        (* the content that claimed the digest, and its trace *)
     profile_memo : (sim_key * Pipeline.kind, Spd_sim.Profile.t) Memo.t;
         (* keyed by the profiled program: NAIVE or STATIC *)
     prep_memo : (key, Pipeline.prepared) Memo.t;
@@ -552,11 +555,13 @@ module Session = struct
     dynamics_memo : (key, Pipeline.dynamics outcome) Memo.t;
     decisions_memo : (key, Spd_core.Heuristic.decision list outcome) Memo.t;
     verdicts_memo : (key, Spd_validate.Validate.report list outcome) Memo.t;
+    prepared_out_memo : (key, Pipeline.prepared outcome) Memo.t;
+    trace_out_memo : (key, Pipeline.trace outcome) Memo.t;
     stats_mu : Mutex.t;
     mutable lowerings : int;
     mutable preparations : int;
     mutable simulations : int;
-    mutable observations : int;
+    mutable traces : int;
     mutable static_runs : int;
     mutable profiles : int;
     mutable spd_runs : int;
@@ -628,7 +633,7 @@ module Session = struct
       lowered_memo = Memo.create 16;
       naive_memo = Memo.create 32;
       static_memo = Memo.create 32;
-      observed_memo = Memo.create 32;
+      trace_memo = Memo.create 64;
       profile_memo = Memo.create 64;
       prep_memo = Memo.create 64;
       cycles_memo = Memo.create 256;
@@ -636,11 +641,13 @@ module Session = struct
       dynamics_memo = Memo.create 64;
       decisions_memo = Memo.create 64;
       verdicts_memo = Memo.create 64;
+      prepared_out_memo = Memo.create 16;
+      trace_out_memo = Memo.create 16;
       stats_mu;
       lowerings = 0;
       preparations = 0;
       simulations = 0;
-      observations = 0;
+      traces = 0;
       static_runs = 0;
       profiles = 0;
       spd_runs = 0;
@@ -669,7 +676,7 @@ module Session = struct
         lowerings = t.lowerings;
         preparations = t.preparations;
         simulations = t.simulations;
-        observations = t.observations;
+        traces = t.traces;
         static_runs = t.static_runs;
         profiles = t.profiles;
         spd_runs = t.spd_runs;
@@ -941,13 +948,16 @@ module Session = struct
 
        lowered(bench)
          -> NAIVE(bench, graft)                    cleanup
-              -> observation(bench, graft, budget)  check
               -> STATIC(bench, graft)               static
                    -> P(STATIC)(bench, graft, budget)  profile
               -> P(NAIVE)(bench, graft, budget)     profile
        pipelines: NAIVE, STATIC, PERFECT(bench, graft, budget)
                   SPEC(bench, graft, latency, spd_params, budget)
-       cells:     cycles(pipeline, latency, width), summaries, ledgers
+       trace(content digest, budget)               simulate
+              of any pipeline's program: its observation (every check)
+              and outcome histogram (every cycle count)
+       cells:     cycles = schedule + charge of the trace,
+                  hw-cycles, summaries, ledgers
 
      Only SPEC and the cells depend on the memory latency. *)
 
@@ -955,14 +965,29 @@ module Session = struct
     Memo.get t.lowered_memo bench (fun () ->
         bump t (fun t -> t.lowerings <- t.lowerings + 1);
         M.incr m_lowerings;
-        let t0 = Clock.now () in
-        let prog =
-          Spd_lang.Lower.compile (W.Registry.by_name bench).source
-        in
-        (match t.config.timer with
-        | Some cb -> cb Pipeline.Lower (Clock.now () -. t0)
-        | None -> ());
-        prog)
+        Pipeline.time t.config Pipeline.Lower (fun () ->
+            Spd_lang.Lower.compile (W.Registry.by_name bench).source))
+
+  (* The trace node of a program.  Programs whose interpreted content
+     is equal have equal traces (STATIC and PERFECT change only arcs, so
+     they share NAIVE's; equal SPEC programs across ablation points
+     share one).  The node is keyed by the content's digest, and a hit
+     is confirmed by comparing the contents byte for byte: a program
+     whose digest collides with a different one is interpreted on its
+     own. *)
+  let trace_node t (config : Pipeline.Config.t) prog : Pipeline.trace =
+    let content = Spd_sim.Interp.content prog in
+    let compute () =
+      bump t (fun t -> t.traces <- t.traces + 1);
+      M.incr m_traces;
+      Pipeline.trace config prog
+    in
+    let owner, trace =
+      Memo.get t.trace_memo
+        (Digest.string content, config.fuel, config.deadline)
+        (fun () -> (content, compute ()))
+    in
+    if String.equal owner content then trace else compute ()
 
   let nodes t (k : key) : Pipeline.nodes =
     let config = config_for t k in
@@ -986,15 +1011,10 @@ module Session = struct
     in
     {
       Pipeline.naive;
-      observed =
-        (fun () ->
-          Memo.get t.observed_memo sim (fun () ->
-              bump t (fun t -> t.observations <- t.observations + 1);
-              M.incr m_observations;
-              Pipeline.observe config (naive ())));
       static;
       static_profile = profile_of Pipeline.Static static;
       naive_profile = profile_of Pipeline.Naive naive;
+      trace = trace_node t config;
     }
 
   (* Run the tail of the chain for [k] over the shared nodes. *)
@@ -1018,10 +1038,33 @@ module Session = struct
     in
     { p with Pipeline.mem_latency = k.latency; config = config_for t k }
 
-  let prepared t ~bench ~latency kind =
-    prepared_cell t
+  (* The in-memory accessors: a node of the paper grid's variant,
+     computed under [protected] with the node's key, so a failing node
+     is recorded (once) like any cell failure and surfaces as
+     [Cell_failed]. *)
+  let accessor t memo ~what ~bench ~latency kind f =
+    let k =
       { bench; latency; kind; graft = false; spd_params = None;
         q_fuel = None; q_deadline = None }
+    in
+    (* an unknown workload is the caller's error, not a node failure *)
+    ignore (W.Registry.by_name bench);
+    match
+      Memo.get memo k (fun () ->
+          protected t ~deadline:(eff_deadline t k)
+            ~key:(cell_key k ^ "/" ^ what)
+            (fun () -> f k))
+    with
+    | Ok v -> v
+    | Failed f -> raise (Cell_failed f)
+
+  let prepared t ~bench ~latency kind =
+    accessor t t.prepared_out_memo ~what:"prepared" ~bench ~latency kind
+      (prepared_cell t)
+
+  let trace t ~bench ~latency kind =
+    accessor t t.trace_out_memo ~what:"trace" ~bench ~latency kind (fun k ->
+        (prepared_cell t k).Pipeline.trace ())
 
   (* cycle count of a cell on [width] units; [window] selects the
      machine whose hardware reorders memory references within that many
@@ -1112,7 +1155,7 @@ module Session = struct
 
   (* the translation-validation ledger of a cell's SPEC applications;
      its own heuristic run under [validate = true], over the shared
-     STATIC, profile and observation nodes.  Validation is excluded from
+     STATIC, profile and trace nodes.  Validation is excluded from
      the config fingerprint (it never changes the prepared program), so
      the ledger is addressed by the shared cell payload plus its own
      suffix; the run is charged separately from [prepared_cell]'s,

@@ -27,13 +27,15 @@
     Cells are computed from a DAG of memoized stage nodes, each keyed
     by exactly its inputs: the lowered program per workload; the
     cleaned (NAIVE) and statically disambiguated (STATIC) programs per
-    (workload, graft); the NAIVE observation every correctness check
-    compares with and the NAIVE and STATIC profiles per (workload,
+    (workload, graft); the NAIVE and STATIC profiles per (workload,
     graft, budget); the NAIVE, STATIC and PERFECT pipelines per
-    (workload, graft, budget); and SPEC, the only latency-dependent
+    (workload, graft, budget); SPEC, the only latency-dependent
     preparation, per (workload, graft, latency, heuristic parameters,
-    budget).  Each node is computed once per session, whichever
-    pipeline, latency or request asks for it first.
+    budget); and one trace — observation and traversal-outcome
+    histogram — per distinct program content and budget, which every
+    correctness check compares and every cycle count charges on its
+    machine's schedule.  Each node is computed once per session,
+    whichever pipeline, latency or request asks for it first.
 
     Results are deterministic in the number of jobs: the schedule
     changes only who computes a value, never the value. *)
@@ -179,9 +181,10 @@ module Stats : sig
             latency and heuristic parameters too, plus one per
             validation ledger *)
     simulations : int;  (** schedule+simulate runs actually performed *)
-    observations : int;
-        (** NAIVE ground-truth observations run: one per (workload,
-            graft, budget), shared by every check *)
+    traces : int;
+        (** trace nodes computed — one interpretation per distinct
+            program content and budget, shared by every check and cycle
+            count of that program *)
     static_runs : int;
         (** static disambiguations run, one per (workload, graft) *)
     profiles : int;
@@ -273,20 +276,25 @@ module Session : sig
 
   (** {1 Pipeline materialization}
 
-    The two compile-stage accessors that return in-memory artefacts
-    rather than {!value}s — used by {!Explain}, and not servable over
-    the wire.  They read the same memoized stage nodes as {!submit}.
-    Not failure-contained: an unknown benchmark, a compile error or a
-    failed node raises. *)
-
-  (** Lowered IR of a built-in benchmark. *)
-  val lowered : t -> string -> Spd_ir.Prog.t
+    Accessors that return in-memory artefacts rather than {!value}s —
+    used by {!Explain}, and not servable over the wire.  They read the
+    same memoized stage nodes as {!submit}.  {!prepared} and {!trace}
+    run under the contained-failure runner with the node's key
+    ([bench/latency/KIND/prepared], [.../trace]): a failing node is
+    recorded in {!failures} once, like a cell, and raises
+    {!Cell_failed}. *)
 
   (** Prepared pipeline for a benchmark at a memory latency (the paper
       grid's program variant).  NAIVE, STATIC and PERFECT are shared
       across latencies: the record differs only in its latency fields. *)
   val prepared :
     t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.prepared
+
+  (** The trace node of that pipeline's program: its observation and
+      traversal-outcome histogram, shared with every cell that charges
+      it. *)
+  val trace :
+    t -> bench:string -> latency:int -> Pipeline.kind -> Pipeline.trace
 
   (** {1 Fan-out}
 

@@ -1,9 +1,10 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, takes the STATIC and SPEC pipelines from an
-    engine session's memoized stage nodes, schedules every SPEC tree on
-    the requested machine, simulates with a profile, and renders three
-    kinds of artefact through the shared {!Table} machinery:
+    For one workload, takes the STATIC and SPEC pipelines and the SPEC
+    program's trace from an engine session's memoized stage nodes,
+    schedules every SPEC tree on the requested machine, charges the
+    trace's outcomes on that schedule, and renders three kinds of
+    artefact through the shared {!Table} machinery:
 
     - per tree, the cycle-by-FU {b occupancy grid}, with guarded SpD
       operations annotated by their alias-predicate version
@@ -64,18 +65,21 @@ let trees_of prog =
   List.rev !acc
 
 (** Analyze [workload] on a [width]-unit machine, reading its STATIC and
-    SPEC preparations from the session's stage nodes.  Raises
-    [Invalid_argument] for an unknown workload name. *)
+    SPEC preparations and the SPEC trace from the session's stage nodes.
+    Raises [Invalid_argument] for an unknown workload name and
+    {!Engine.Cell_failed} when a node failed. *)
 let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
   let prepared =
     Engine.Session.prepared session ~bench:workload ~latency:mem_latency
   in
   let static = prepared Pipeline.Static in
   let spec = prepared Pipeline.Spec in
+  let trace =
+    Engine.Session.trace session ~bench:workload ~latency:mem_latency
+      Pipeline.Spec
+  in
   let descr = Descr.fus width ~mem_latency in
   let timing = Spd_machine.Timing_builder.program descr spec.Pipeline.prog in
-  let profile = Spd_sim.Profile.create () in
-  let result = Spd_sim.Interp.run ~timing ~profile spec.Pipeline.prog in
   let static_spans = Hashtbl.create 32 in
   List.iter
     (fun (func, tree) ->
@@ -91,9 +95,13 @@ let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
         let schedule = Schedule.of_tree ~descr tree in
         let critpath = Critpath.analyze schedule in
         let traversals, cycles =
-          match Spd_sim.Profile.find profile ~func ~tree_id:tree.id with
-          | Some stat ->
-              (stat.Spd_sim.Profile.traversals, stat.Spd_sim.Profile.cycles)
+          match
+            Spd_sim.Outcomes.find trace.Pipeline.outcomes ~func
+              ~tree_id:tree.id
+          with
+          | Some tr ->
+              ( Spd_sim.Outcomes.traversals tr,
+                Spd_sim.Timing.charge_tree timing tr )
           | None -> (0, 0)
         in
         let static_info = Hashtbl.find_opt static_spans (func, tree.id) in
@@ -113,8 +121,8 @@ let analyze ?(width = 5) ?(mem_latency = 2) session workload : t =
     workload;
     width;
     mem_latency;
-    total_cycles = result.Spd_sim.Interp.cycles;
-    total_traversals = result.Spd_sim.Interp.traversals;
+    total_cycles = Spd_sim.Timing.charge timing trace.Pipeline.outcomes;
+    total_traversals = trace.Pipeline.traversals;
     applications = spec.Pipeline.applications;
     trees;
   }

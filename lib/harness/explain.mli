@@ -1,8 +1,10 @@
 (** Schedule introspection and cycle attribution ([spd explain]).
 
-    For one workload, takes the STATIC and SPEC pipelines from an
-    engine session's stage nodes, schedules every SPEC tree on the
-    requested machine, simulates with a profile, and renders cycle-by-FU occupancy grids, critical-path attributions
+    For one workload, takes the STATIC and SPEC pipelines and the SPEC
+    program's trace from an engine session's stage nodes, schedules
+    every SPEC tree on the requested machine, charges the trace on that
+    schedule ({!Spd_sim.Timing.charge_tree}), and renders cycle-by-FU
+    occupancy grids, critical-path attributions
     ({!Spd_machine.Critpath}) and a program-wide per-region table whose
     cycle column sums exactly to the simulator's reported total. *)
 
@@ -37,9 +39,10 @@ type t = {
 
 (** Analyze [workload] on a [width]-unit machine (default 5 FUs,
     2-cycle memory), with the STATIC and SPEC preparations of the
-    session's stage nodes ({!Engine.Session.prepared}), so repeated
-    requests prepare nothing twice.  Raises [Invalid_argument] for an
-    unknown workload name. *)
+    session's stage nodes ({!Engine.Session.prepared},
+    {!Engine.Session.trace}), so repeated requests prepare and interpret
+    nothing twice.  Raises [Invalid_argument] for an unknown workload
+    name and {!Engine.Cell_failed} when a node failed. *)
 val analyze :
   ?width:int -> ?mem_latency:int -> Engine.Session.t -> string -> t
 

@@ -36,12 +36,14 @@ type stage =
   | Disambig
   | Profile
   | Spd
+  | Validate
   | Check
   | Schedule
   | Simulate
 
 let stages =
-  [ Lower; Cleanup; Disambig; Profile; Spd; Check; Schedule; Simulate ]
+  [ Lower; Cleanup; Disambig; Profile; Spd; Validate; Check; Schedule;
+    Simulate ]
 
 let stage_name = function
   | Lower -> "lower"
@@ -49,6 +51,7 @@ let stage_name = function
   | Disambig -> "static"
   | Profile -> "profile"
   | Spd -> "spd"
+  | Validate -> "validate"
   | Check -> "check"
   | Schedule -> "schedule"
   | Simulate -> "simulate"
@@ -59,9 +62,10 @@ let stage_index = function
   | Disambig -> 2
   | Profile -> 3
   | Spd -> 4
-  | Check -> 5
-  | Schedule -> 6
-  | Simulate -> 7
+  | Validate -> 5
+  | Check -> 6
+  | Schedule -> 7
+  | Simulate -> 8
 
 (* ------------------------------------------------------------------ *)
 
@@ -125,17 +129,48 @@ module Config = struct
 end
 
 (* Every instrumented stage is also a trace span, so a --trace run shows
-   the stage breakdown nested under its grid cell's span. *)
+   the stage breakdown nested under its grid cell's span.  A stage can
+   run inside another (each SpD application's validation runs inside
+   the heuristic's stage); the timer receives a stage's self time — its
+   wall clock minus that of the stages nested in it, tracked per domain
+   — so the per-stage totals add up without counting anything twice. *)
+let nested_seconds : float ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0.0)
+
 let time (config : Config.t) stage f =
   Spd_telemetry.Trace.with_span ~name:("stage:" ^ stage_name stage)
     (fun () ->
       match config.timer with
       | None -> f ()
       | Some cb ->
+          let nested = Domain.DLS.get nested_seconds in
+          let outer = !nested in
+          nested := 0.0;
           let t0 = Spd_telemetry.Clock.now () in
-          let r = f () in
-          cb stage (Spd_telemetry.Clock.now () -. t0);
-          r)
+          let finish () =
+            let dt = Spd_telemetry.Clock.now () -. t0 in
+            let inner = !nested in
+            nested := outer +. dt;
+            dt -. inner
+          in
+          match f () with
+          | r ->
+              cb stage (finish ());
+              r
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (finish ());
+              Printexc.raise_with_backtrace e bt)
+
+(* One interpretation of a program: everything the cycle count on any
+   machine, and the behaviour check, need from running it. *)
+type observation = Spd_ir.Value.t * Spd_ir.Value.t list
+
+type trace = {
+  observation : observation;  (** return value and printed output *)
+  outcomes : Spd_sim.Outcomes.t;  (** the traversal-outcome histogram *)
+  traversals : int;
+}
 
 type prepared = {
   kind : kind;
@@ -149,6 +184,7 @@ type prepared = {
   verdicts : Spd_validate.Validate.report list;
       (** per-application translation-validation ledger, in application
           order (SPEC with [config.validate] only) *)
+  trace : unit -> trace;  (** the program's interpretation *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -241,15 +277,13 @@ let transform_checker ~func:_ ~(before : Spd_ir.Tree.t)
 (* ------------------------------------------------------------------ *)
 (* Stage functions.  Each is one node of the chain
 
-     lowered --cleanup--> NAIVE --+--observe--> observation
-                                  +--static--> STATIC --profile--> P(static)
+     lowered --cleanup--> NAIVE --+--static--> STATIC --profile--> P(static)
                                   +--profile--> P(naive)
+     any program --interpret--> trace
 
    plus the per-kind tail in [assemble].  [config.graft],
    [config.fuel]/[config.deadline] and [config.timer] are the only
    fields they read. *)
-
-type observation = Spd_ir.Value.t * Spd_ir.Value.t list
 
 (** Scalar cleanup every pipeline gets — store-to-load forwarding and
     redundant-load elimination, as in the paper's optimizing compiler —
@@ -264,12 +298,19 @@ let clean (config : Config.t) (lowered : Prog.t) : Prog.t =
       in
       Memarcs.annotate cleaned)
 
-(** The observable behaviour of a program: the ground truth every
-    check compares with. *)
-let observe (config : Config.t) (prog : Prog.t) : observation =
-  time config Check (fun () ->
-      Spd_sim.Interp.observe ?fuel:config.fuel ?deadline:config.deadline
-        prog)
+(** Interpret a program once: its observable behaviour (the ground truth
+    every check compares) and its outcome histogram (what every cycle
+    count charges). *)
+let trace (config : Config.t) (prog : Prog.t) : trace =
+  time config Simulate (fun () ->
+      let r =
+        Spd_sim.Interp.run ?fuel:config.fuel ?deadline:config.deadline prog
+      in
+      {
+        observation = (r.ret, r.output);
+        outcomes = r.outcomes;
+        traversals = r.traversals;
+      })
 
 (** GCD/Banerjee static disambiguation of the NAIVE program. *)
 let disambiguate (config : Config.t) (naive : Prog.t) : Prog.t =
@@ -294,7 +335,10 @@ let speculate (config : Config.t) ~profile static =
     fire_fault ();
     if check then transform_checker ~func ~before app after;
     if validate then begin
-      let r = Spd_validate.Validate.check_application ~func ~before app after in
+      let r =
+        time config Validate (fun () ->
+            Spd_validate.Validate.check_application ~func ~before app after)
+      in
       observe_verdict r.Spd_validate.Validate.verdict;
       (match r.Spd_validate.Validate.verdict with
       | Spd_validate.Verdict.Refuted cx ->
@@ -335,10 +379,12 @@ let speculate (config : Config.t) ~profile static =
     pipelines, latencies and requests. *)
 type nodes = {
   naive : unit -> Prog.t;  (** {!clean}ed: the NAIVE program *)
-  observed : unit -> observation;  (** {!observe} of [naive] *)
   static : unit -> Prog.t;  (** {!disambiguate} of [naive] *)
   static_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [static] *)
   naive_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [naive] *)
+  trace : Prog.t -> trace;
+      (** {!trace} of a program, shared by programs of equal
+          {!Spd_sim.Interp.content} *)
 }
 
 let nodes (config : Config.t) (lowered : Prog.t) : nodes =
@@ -354,19 +400,27 @@ let nodes (config : Config.t) (lowered : Prog.t) : nodes =
   in
   let naive = once (fun () -> clean config lowered) in
   let static = once (fun () -> disambiguate config (naive ())) in
+  let traces = ref [] in
   {
     naive;
-    observed = once (fun () -> observe config (naive ()));
     static;
     static_profile = once (fun () -> profile config (static ()));
     naive_profile = once (fun () -> profile config (naive ()));
+    trace =
+      (fun prog ->
+        let content = Spd_sim.Interp.content prog in
+        match List.assoc_opt content !traces with
+        | Some tr -> tr
+        | None ->
+            let tr = trace config prog in
+            traces := (content, tr) :: !traces;
+            tr);
   }
 
 (** The per-kind tail of the chain: SPEC runs the heuristic over STATIC
     with the STATIC profile, PERFECT drops the arcs the NAIVE profile
     proved superfluous.  [config.check] compares the result's observable
-    behaviour with NAIVE's observation; NAIVE's own check is that
-    observation. *)
+    behaviour with NAIVE's; NAIVE's own check is its trace. *)
 let assemble (config : Config.t) (kind : kind) (n : nodes) : prepared =
   let prog, applications, decisions, verdicts =
     match kind with
@@ -382,8 +436,9 @@ let assemble (config : Config.t) (kind : kind) (n : nodes) : prepared =
   in
   Prog.validate prog;
   if config.check then begin
-    let expected = n.observed () in
-    if kind <> Naive && expected <> observe config prog then
+    let expected = (n.trace (n.naive ())).observation in
+    let observed = (n.trace prog).observation in
+    if time config Check (fun () -> expected <> observed) then
       raise
         (Behaviour_mismatch
            (Fmt.str "pipeline %s changed program behaviour" (name kind)))
@@ -396,6 +451,7 @@ let assemble (config : Config.t) (kind : kind) (n : nodes) : prepared =
     applications;
     decisions;
     verdicts;
+    trace = (fun () -> n.trace prog);
   }
 
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
@@ -406,7 +462,8 @@ let prepare ?(config = Config.default) (kind : kind) (lowered : Prog.t) :
     prepared =
   assemble config kind (nodes config lowered)
 
-(** Cycle count of a prepared program on [width] functional units. *)
+(** Cycle count of a prepared program on [width] functional units: the
+    schedule's charge of the program's trace. *)
 let cycles (p : prepared) ~(width : Spd_machine.Descr.width) : int =
   let descr =
     { Spd_machine.Descr.width; mem_latency = p.mem_latency }
@@ -415,10 +472,8 @@ let cycles (p : prepared) ~(width : Spd_machine.Descr.width) : int =
     time p.config Schedule (fun () ->
         Spd_machine.Timing_builder.program descr p.prog)
   in
-  (time p.config Simulate (fun () ->
-       Spd_sim.Interp.run ~timing ?fuel:p.config.fuel
-         ?deadline:p.config.deadline p.prog))
-    .cycles
+  let outcomes = (p.trace ()).outcomes in
+  time p.config Simulate (fun () -> Spd_sim.Timing.charge timing outcomes)
 
 (** Cycle count of a prepared program on [width] functional units whose
     load/store hardware reorders memory references within a [window]

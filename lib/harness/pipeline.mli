@@ -23,8 +23,11 @@ val pp : Format.formatter -> kind -> unit
     The instrumented stages of a pipeline run, in execution order:
     lowering (performed by the engine before {!prepare}), scalar cleanup
     and memory arcs, static disambiguation (GCD/Banerjee, and PERFECT's
-    superfluous-arc removal), profiling, the SpD heuristic, the
-    observable-behaviour check, scheduling and timed simulation. *)
+    superfluous-arc removal), profiling, the SpD heuristic, translation
+    validation of each SpD application, the observable-behaviour
+    comparison, scheduling, and simulation — interpreting a program
+    ({!trace}, {!hw_cycles}, {!dynamics}) and charging its outcomes on
+    a schedule. *)
 
 type stage =
   | Lower
@@ -32,6 +35,7 @@ type stage =
   | Disambig
   | Profile
   | Spd
+  | Validate
   | Check
   | Schedule
   | Simulate
@@ -105,6 +109,24 @@ module Config : sig
   val canonical_params : Heuristic.params option -> Heuristic.params option
 end
 
+(** [time config stage f] runs [f] as an instrumented stage: a
+    [stage:<name>] trace span, and [config.timer] called with the
+    stage's self time — its wall clock minus that of the stages run
+    inside it on the same domain. *)
+val time : Config.t -> stage -> (unit -> 'a) -> 'a
+
+(** Return value and printed output of a run. *)
+type observation = Spd_ir.Value.t * Spd_ir.Value.t list
+
+(** One interpretation of a program: its observable behaviour, which
+    every check compares, and its traversal-outcome histogram, which
+    every cycle count charges ({!Spd_sim.Timing.charge}). *)
+type trace = {
+  observation : observation;
+  outcomes : Spd_sim.Outcomes.t;
+  traversals : int;  (** tree traversals of the run *)
+}
+
 type prepared = {
   kind : kind;
   config : Config.t;
@@ -116,6 +138,10 @@ type prepared = {
   verdicts : Spd_validate.Validate.report list;
       (** per-application translation-validation ledger, in application
           order (SPEC with [config.validate] only) *)
+  trace : unit -> trace;
+      (** the program's interpretation, computed on first use and shared
+          with every program of equal content the same {!nodes}
+          interpreted *)
 }
 
 (** Profile a program: run it once with instrumentation. *)
@@ -137,9 +163,9 @@ exception Validation_failed of string
     head is shared by every pipeline of one program:
 
     {v
-    lowered --clean--> NAIVE --observe--> observation
-                       NAIVE --disambiguate--> STATIC --profile--> P(STATIC)
+    lowered --clean--> NAIVE --disambiguate--> STATIC --profile--> P(STATIC)
                        NAIVE --profile--> P(NAIVE)
+    any program --trace--> observation + outcome histogram
     v}
 
     and {!assemble} adds the per-kind tail: SPEC runs the SpD heuristic
@@ -149,15 +175,12 @@ exception Validation_failed of string
     configuration, plus [mem_latency], [spd_params], [check], [validate]
     and [checker_fault] for the tail. *)
 
-(** Return value and printed output of a run. *)
-type observation = Spd_ir.Value.t * Spd_ir.Value.t list
-
 (** Forwarding and redundant-load elimination, optional grafting
     ([config.graft]), then all-pairs memory arcs: the NAIVE program. *)
 val clean : Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
 
-(** Run a program for its observable behaviour (a [Check] stage). *)
-val observe : Config.t -> Spd_ir.Prog.t -> observation
+(** Interpret a program once (a [Simulate] stage): its {!trace}. *)
+val trace : Config.t -> Spd_ir.Prog.t -> trace
 
 (** GCD/Banerjee static disambiguation: NAIVE to STATIC. *)
 val disambiguate : Config.t -> Spd_ir.Prog.t -> Spd_ir.Prog.t
@@ -169,20 +192,24 @@ val profile : Config.t -> Spd_ir.Prog.t -> Spd_sim.Profile.t
     decides how they are memoized. *)
 type nodes = {
   naive : unit -> Spd_ir.Prog.t;  (** {!clean}ed: the NAIVE program *)
-  observed : unit -> observation;  (** {!observe} of [naive] *)
   static : unit -> Spd_ir.Prog.t;  (** {!disambiguate} of [naive] *)
   static_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [static] *)
   naive_profile : unit -> Spd_sim.Profile.t;  (** {!profile} of [naive] *)
+  trace : Spd_ir.Prog.t -> trace;
+      (** {!trace} of a program; programs whose
+          {!Spd_sim.Interp.content} is equal may share one *)
 }
 
 (** The nodes of one lowered program, each computed at most once, on
-    first use.  Not domain-safe: for one caller's sequential use. *)
+    first use; [trace] interprets each distinct content once.  Not
+    domain-safe: for one caller's sequential use. *)
 val nodes : Config.t -> Spd_ir.Prog.t -> nodes
 
 (** The per-kind tail of the chain over [nodes].  With [config.check],
-    the prepared program's observable behaviour must equal
-    [nodes.observed] (raises {!Behaviour_mismatch}); for NAIVE the check
-    is that observation itself. *)
+    the prepared program's observable behaviour must equal the NAIVE
+    program's (raises {!Behaviour_mismatch}), both read from
+    [nodes.trace]: a program whose content equals NAIVE's (STATIC and
+    PERFECT change only arcs) is compared through the shared trace. *)
 val assemble : Config.t -> kind -> nodes -> prepared
 
 (** Build pipeline [kind] from a lowered program (no arcs yet) under
@@ -192,7 +219,9 @@ val assemble : Config.t -> kind -> nodes -> prepared
     same way. *)
 val prepare : ?config:Config.t -> kind -> Spd_ir.Prog.t -> prepared
 
-(** Cycle count of a prepared program on [width] functional units. *)
+(** Cycle count of a prepared program on [width] functional units: the
+    schedule built for that machine charged on the program's {!trace}
+    ({!Spd_sim.Timing.charge}); no interpretation beyond the trace. *)
 val cycles : prepared -> width:Spd_machine.Descr.width -> int
 
 (** Cycle count of a prepared program on [width] functional units whose

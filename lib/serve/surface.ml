@@ -194,7 +194,7 @@ let workload ~cmd =
 (* ------------------------------------------------------------------ *)
 (* Descriptors *)
 
-type session_flags = No_flags | Pool_flags | All_flags
+type session_flags = Fault_flags | Pool_flags | All_flags
 
 type ('p, 'r) spec = {
   name : string;
@@ -394,7 +394,8 @@ let ledger ~name ~doc ~schema ~session ~what ?(width = const 5) ~analyze
     }
 
 let explain =
-  ledger ~name:"explain" ~schema:Explain.schema ~session:No_flags ~what:"tree"
+  ledger ~name:"explain" ~schema:Explain.schema ~session:Fault_flags
+    ~what:"tree"
     ~doc:
       "Explain a workload's schedules: cycle-by-FU occupancy grids with SpD \
        version annotations, critical-path cycle attribution per tree, and a \

@@ -71,7 +71,7 @@ val of_json : 'a params -> Json.t -> 'a
 (** The session flags the CLI form takes; the daemon serves every
     surface from its own session. *)
 type session_flags =
-  | No_flags  (** one job, no disk cache *)
+  | Fault_flags  (** one job, no disk cache; [--inject-fault] *)
   | Pool_flags  (** [--jobs], [--no-cache] *)
   | All_flags
       (** [--jobs], [--no-cache], [--retries], [--fuel], [--deadline],

@@ -6,11 +6,12 @@
     exit whose guard holds is taken.  This is the ground-truth semantics
     against which all disambiguator pipelines are validated.
 
-    Orthogonally, when a {!Timing} table is supplied (built from a machine
-    schedule or from the infinite-machine ASAP analysis), each traversal is
-    charged [max(taken-exit completion, committed store completions)]
-    cycles, and the total is the program's execution time on that machine —
-    the paper's measurement methodology.
+    Every run records the exact per-tree histogram of traversal outcomes
+    (taken exit, committed guarded stores; {!Outcomes}).  A traversal's
+    cycle charge on a machine depends on nothing else, so the cycles of a
+    run under a {!Timing} table are {!Timing.charge} of that histogram —
+    [run ~timing] is exactly a run followed by the charge, and a caller
+    holding the histogram prices further machines without running again.
 
     The interpreter also fills in a {!Profile}: exit frequencies and
     dynamic alias counts per memory dependence arc (the PERFECT
@@ -19,11 +20,10 @@
     Internally each tree is compiled once per run into a flat array of
     specialized operations (register numbers resolved, store guards
     encoded as ints, memory/store positions pre-indexed) so the traversal
-    loop allocates nothing and dispatches one shallow match per
-    instruction.  Per-tree bookkeeping — cycle charge, committed-arc
-    profile walk, squash count — is memoized in a {!Replay} cache keyed
-    on the traversal's guard outcomes; see that module for the exactness
-    argument. *)
+    loop dispatches one shallow match per instruction.  Each traversal is
+    counted in its tree's {!Replay} table under its outcome; the table
+    also memoizes the per-traversal bookkeeping — committed-arc profile
+    walk, squash count — see that module for the exactness argument. *)
 
 open Spd_ir
 
@@ -89,6 +89,7 @@ type result = {
   output : Value.t list;  (** values printed by the builtins, in order *)
   cycles : int;  (** total cycles; 0 when no timing table was given *)
   traversals : int;  (** number of tree traversals executed *)
+  outcomes : Outcomes.t;  (** the run's traversal-outcome histogram *)
 }
 
 (* Per-function runtime metadata. *)
@@ -229,10 +230,9 @@ type ctree = {
   code : cop array;
   xguards : int array;  (** per exit, encoded guard *)
   cexits : cexit array;
-  store_pos : int array;  (** positions of stores, for the timing walk *)
+  ustore_pos : int array;  (** positions of unguarded stores *)
   gstore_pos : int array;  (** positions of guarded stores *)
   mem_pos : int array;  (** positions of memory ops, for scratch resets *)
-  n_gstores : int;
   carcs : carc array;  (** the tree's memory dependence arcs, indexed *)
   parc : Profile.arc_stat option array;
       (** per arc, its profile counters once first resolved — created on
@@ -240,8 +240,7 @@ type ctree = {
   mutable pstat : Profile.tree_stat option;  (** resolved on first use *)
   mutable watch : Profile.Spd.tree_watch option;
   mutable watch_resolved : bool;
-  mutable ttime : Timing.tree_timing option;  (** resolved on first use *)
-  replay : Replay.t;
+  replay : Replay.t;  (** outcome counts and bookkeeping summaries *)
 }
 
 let enc_guard = function
@@ -329,7 +328,7 @@ let compile_exit (fi : finfo) (e : Tree.exit) : cexit =
 let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
   let gctr = ref 0 in
   let gen_gstore = ref false in
-  let stores = ref [] and gstores = ref [] and mems = ref [] in
+  let ustores = ref [] and gstores = ref [] and mems = ref [] in
   let compile_insn pos (insn : Insn.t) : cop =
     match (insn.op, insn.srcs, insn.dst) with
     | Opcode.Load, [ a ], Some dst ->
@@ -337,10 +336,12 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
         CLoad { pos; addr = a; dst }
     | Opcode.Store, [ a; v ], None ->
         mems := pos :: !mems;
-        stores := pos :: !stores;
         let guard = enc_guard insn.guard in
         let gidx =
-          if guard = 0 then -1
+          if guard = 0 then begin
+            ustores := pos :: !ustores;
+            -1
+          end
           else begin
             gstores := pos :: !gstores;
             let i = !gctr in
@@ -370,10 +371,10 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
     | _ ->
         if Insn.is_mem insn then mems := pos :: !mems;
         if Insn.is_store insn then begin
-          stores := pos :: !stores;
-          if insn.guard <> None then begin
+          if insn.guard = None then ustores := pos :: !ustores
+          else begin
             (* a guarded store on the generic path never reaches the
-               commit mask, so the tree must not use the replay cache *)
+               commit mask, so the tree's outcomes take the wide key *)
             gen_gstore := true;
             gstores := pos :: !gstores;
             incr gctr
@@ -393,25 +394,21 @@ let compile_tree (fi : finfo) (tree : Tree.t) : ctree =
            { arc; spos = pos_of_id.(arc.src); dpos = pos_of_id.(arc.dst) })
          tree.arcs)
   in
+  let gstore_pos = rev_array !gstores in
   {
     tree;
     code;
     xguards = Array.map (fun (e : Tree.exit) -> enc_guard e.xguard) tree.exits;
     cexits = Array.map (compile_exit fi) tree.exits;
-    store_pos = rev_array !stores;
-    gstore_pos = rev_array !gstores;
+    ustore_pos = rev_array !ustores;
+    gstore_pos;
     mem_pos = rev_array !mems;
-    n_gstores = !gctr;
     carcs;
     parc = Array.make (Array.length carcs) None;
     pstat = None;
     watch = None;
     watch_resolved = false;
-    ttime = None;
-    replay =
-      Replay.create
-        ~n_guarded_stores:(if !gen_gstore then max_int else !gctr)
-        ();
+    replay = Replay.create ~packed:(not !gen_gstore) ~gstore_pos ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -547,7 +544,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
   let addr_buf = Array.make max_insns (-1) in
   let active_buf = Array.make max_insns false in
   let output = ref [] in
-  let cycles = ref 0 in
+  let dynamic_cycles = ref 0 in
   let traversals = ref 0 in
   let replay_hits = ref 0 in
   let replay_misses = ref 0 in
@@ -596,14 +593,6 @@ let run ?timing ?(traversal_cost : traversal_cost option)
       ct.watch_resolved <- true
     end;
     ct.watch
-  in
-  let ttime (ct : ctree) tbl =
-    match ct.ttime with
-    | Some tt -> tt
-    | None ->
-        let tt = Timing.find tbl ~func:!fi.func.fname ~tree_id:ct.tree.id in
-        ct.ttime <- Some tt;
-        tt
   in
   let attribute_regions rf (tw : Profile.Spd.tree_watch) =
     List.iter
@@ -800,15 +789,14 @@ let run ?timing ?(traversal_cost : traversal_cost option)
          end
        done
      with Exit -> ());
-    (* per-traversal bookkeeping: replay a cached summary when this
-       (exit, guard outcomes) combination has been walked before *)
-    let key =
-      if Replay.cacheable ct.replay then
-        Replay.key ~taken:!taken ~gmask:!gmask
-          ~n_guarded_stores:ct.n_gstores
-      else 0
+    (* count the traversal under its outcome, and replay the cached
+       bookkeeping when this outcome has been walked before *)
+    let entry =
+      if Replay.packed ct.replay then
+        Replay.record ct.replay ~taken:!taken ~gmask:!gmask
+      else Replay.record_wide ct.replay ~taken:!taken ~active:active_buf
     in
-    (match if replay then Replay.find ct.replay key else None with
+    (match if replay then Replay.summary entry else None with
     | Some s ->
         incr replay_hits;
         (match profile with
@@ -831,19 +819,9 @@ let run ?timing ?(traversal_cost : traversal_cost option)
             | Some tw ->
                 tw.traversals <- tw.traversals + 1;
                 attribute_regions rf tw;
-                tw.squashed <- tw.squashed + s.squashed));
-        (match timing with
-        | None -> ()
-        | Some _ -> (
-            cycles := !cycles + s.cost;
-            match profile with
-            | None -> ()
-            | Some p ->
-                let stat = pstat ct p in
-                stat.cycles <- stat.cycles + s.cost))
+                tw.squashed <- tw.squashed + s.squashed))
     | None ->
         incr replay_misses;
-        let cache = replay && Replay.cacheable ct.replay in
         (* profile *)
         let actives = ref [] in
         (match profile with
@@ -869,7 +847,7 @@ let run ?timing ?(traversal_cost : traversal_cost option)
                   a.both_active <- a.both_active + 1;
                   if addr_buf.(ca.spos) = addr_buf.(ca.dpos) then
                     a.aliased <- a.aliased + 1;
-                  if cache then
+                  if replay then
                     actives :=
                       { Replay.stat = a; spos = ca.spos; dpos = ca.dpos }
                       :: !actives
@@ -894,39 +872,14 @@ let run ?timing ?(traversal_cost : traversal_cost option)
                 tw.traversals <- tw.traversals + 1;
                 attribute_regions rf tw;
                 tw.squashed <- tw.squashed + squashed));
-        (* timing *)
-        let cost = ref 0 in
-        (match timing with
-        | None -> ()
-        | Some tbl ->
-            let tt = ttime ct tbl in
-            let t = ref tt.exit_completion.(!taken) in
-            Array.iter
-              (fun pos ->
-                if active_buf.(pos) then
-                  t := max !t tt.insn_completion.(pos))
-              ct.store_pos;
-            cost := !t;
-            cycles := !cycles + !t;
-            (* attribute the traversal's cost to its tree, so per-region
-               cycle accounting sums exactly to the run total *)
-            match profile with
-            | None -> ()
-            | Some p ->
-                let stat = pstat ct p in
-                stat.cycles <- stat.cycles + !t);
-        if cache then
-          Replay.add ct.replay key
-            {
-              Replay.cost = !cost;
-              squashed;
-              active_arcs = Array.of_list (List.rev !actives);
-            });
+        if replay then
+          Replay.remember ct.replay entry
+            { Replay.squashed; active_arcs = Array.of_list (List.rev !actives) });
     (match traversal_cost with
     | None -> ()
     | Some cost ->
-        cycles :=
-          !cycles
+        dynamic_cycles :=
+          !dynamic_cycles
           + cost ~func:!fi.func.fname ~tree:ct.tree ~addrs:addr_buf
               ~active:active_buf ~taken:!taken;
         (* the callback contract promises -1/false outside this tree's
@@ -1007,12 +960,43 @@ let run ?timing ?(traversal_cost : traversal_cost option)
   if !replay_misses > 0 then
     Spd_telemetry.Metrics.incr ~by:!replay_misses
       m_replay_misses;
+  let outcomes =
+    List.concat_map
+      (fun (fname, _) ->
+        Array.fold_right
+          (fun ct acc ->
+            match ct with
+            | Some (ct : ctree) ->
+                let outcomes = Replay.outcomes ct.replay in
+                if Array.length outcomes = 0 then acc
+                else
+                  {
+                    Outcomes.func = fname;
+                    tree_id = ct.tree.id;
+                    stores = ct.ustore_pos;
+                    outcomes;
+                  }
+                  :: acc
+            | None -> acc)
+          (Hashtbl.find cts_of fname) [])
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) prog.funcs)
+  in
+  let cycles =
+    match timing with None -> 0 | Some tbl -> Timing.charge tbl outcomes
+  in
   {
     ret = Option.get !finished;
     output = List.rev !output;
-    cycles = !cycles;
+    cycles = cycles + !dynamic_cycles;
     traversals = !traversals;
+    outcomes;
   }
+
+let content (prog : Prog.t) =
+  let strip _ (t : Tree.t) =
+    { t with arcs = []; ranges = Reg.Map.empty; addr_params = Reg.Set.empty }
+  in
+  Marshal.to_string (Prog.map_trees strip prog) [ Marshal.No_sharing ]
 
 (** Run and return just the observable behaviour (return value and output),
     used for semantic-equivalence checks between pipelines. *)

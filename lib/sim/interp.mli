@@ -6,11 +6,16 @@
     exit whose guard holds is taken.  This is the ground-truth semantics
     against which all disambiguator pipelines are validated.
 
-    Orthogonally, when a {!Timing} table is supplied (built from a machine
-    schedule or from the infinite-machine ASAP analysis), each traversal is
-    charged [max(taken-exit completion, committed store completions)]
-    cycles, and the total is the program's execution time on that machine —
-    the paper's measurement methodology.
+    Every run records the exact per-tree histogram of traversal outcomes
+    — the exit taken and the guarded stores committed ({!Outcomes}).  On
+    a machine described by a {!Timing} table (built from a machine
+    schedule or from the infinite-machine ASAP analysis) a traversal
+    costs [max(taken-exit completion, committed store completions)]
+    cycles, a function of its outcome alone, so the program's execution
+    time on that machine — the paper's measurement methodology — is
+    {!Timing.charge} of the histogram.  [run ~timing] is exactly that: a
+    run, then the charge.  A caller that keeps {!result.outcomes} prices
+    any number of further machines without interpreting again.
 
     The interpreter also fills in a {!Profile}: exit frequencies and
     dynamic alias counts per memory dependence arc (the PERFECT
@@ -52,10 +57,13 @@ val pp_error : Format.formatter -> error_kind * error_context -> unit
 val default_fuel : int
 
 type result = {
-  ret : Spd_ir.Value.t;
-  output : Spd_ir.Value.t list;
+  ret : Spd_ir.Value.t;  (** return value of [main] *)
+  output : Spd_ir.Value.t list;  (** values printed, in order *)
   cycles : int;
-  traversals : int;
+      (** {!Timing.charge} of [outcomes] under [timing], plus the
+          [traversal_cost] of every traversal; 0 when neither is given *)
+  traversals : int;  (** tree traversals executed *)
+  outcomes : Outcomes.t;  (** the run's traversal-outcome histogram *)
 }
 type finfo = {
   func : Spd_ir.Prog.func;
@@ -98,13 +106,18 @@ type traversal_cost =
     SpD-transformed regions; their alias/no-alias commit and squash
     counters are filled in as the program runs.
 
-    [replay] (default true) enables the per-tree {!Replay} cache:
-    traversals repeating an already-seen (taken exit, guarded-store
-    commit outcome) combination replay the cached cycle charge and
-    committed-arc summary instead of re-walking the tree.  Results are
-    bit-identical either way — alias address compares always run against
-    live addresses, and any guard difference falls back to the full
-    walk — so [~replay:false] exists only for the differential tests. *)
+    [timing] prices the run: [cycles] is {!Timing.charge} of the
+    recorded outcomes (a tree's share is its {!Timing.charge_tree}).
+    [traversal_cost] instead charges each traversal as it runs (the
+    address-dependent hardware model).
+
+    [replay] (default true) lets traversals repeating an already-seen
+    outcome replay the committed-arc and squash summary cached in the
+    tree's {!Replay} table instead of re-walking the tree.  The outcome
+    histogram is recorded either way, and results are bit-identical —
+    alias address compares always run against live addresses, and any
+    guard difference falls back to the full walk — so [~replay:false]
+    exists only for the differential tests. *)
 val run :
   ?timing:Timing.t ->
   ?traversal_cost:traversal_cost ->
@@ -113,6 +126,14 @@ val run :
   ?mem_words:int ->
   ?fuel:int ->
   ?deadline:float -> ?replay:bool -> Spd_ir.Prog.t -> result
+
+(** The bytes of everything {!run} reads of a program when it collects
+    no profile: the program with every tree's memory arcs, value ranges
+    and address parameters dropped, marshalled without sharing.  Two
+    programs with equal content have equal {!result}s under equal
+    budgets, so the engine keys its interpretations by this
+    content. *)
+val content : Spd_ir.Prog.t -> string
 
 (** Run and return just the observable behaviour (return value and output),
     used for semantic-equivalence checks between pipelines. *)

@@ -1,14 +1,15 @@
-(** Timing tables consumed by the interpreter.
+(** Timing tables and the cycle charge of a run.
 
     The scheduler (or the infinite-machine ASAP analysis) produces, for
     every tree, the completion cycle of each instruction and of each exit
-    branch.  During simulation a traversal that takes exit [k] and commits
-    stores [S] costs
+    branch.  A traversal that takes exit [k] and commits stores [S] costs
 
     [max (exit_completion.(k), max over s in S of insn_completion(s))]
 
     cycles: the machine leaves the tree when the taken branch resolves and
-    all committed state has drained. *)
+    all committed state has drained.  The charge depends on the traversal
+    only through its outcome, so a run is priced from its outcome
+    histogram ({!Outcomes}) after the fact. *)
 
 open Spd_ir
 
@@ -31,6 +32,26 @@ let find (t : t) ~func ~tree_id =
   | None ->
       invalid_arg
         (Fmt.str "Timing.find: no timing for %s tree %d" func tree_id)
+
+(** The cycles of one tree's traversals: each distinct outcome's charge
+    times its count. *)
+let charge_tree (t : t) (tr : Outcomes.tree) =
+  let tt = find t ~func:tr.func ~tree_id:tr.tree_id in
+  let latest from positions =
+    Array.fold_left (fun m pos -> max m tt.insn_completion.(pos)) from positions
+  in
+  let always = latest 0 tr.stores in
+  Array.fold_left
+    (fun acc (o : Outcomes.outcome) ->
+      let cost =
+        latest (max always tt.exit_completion.(o.taken)) o.committed
+      in
+      acc + (cost * o.count))
+    0 tr.outcomes
+
+(** The cycles of a whole run: the sum over its trees. *)
+let charge (t : t) (outcomes : Outcomes.t) =
+  List.fold_left (fun acc tr -> acc + charge_tree t tr) 0 outcomes
 
 (** Longest completion over the whole tree; a simple upper bound used in
     diagnostics. *)

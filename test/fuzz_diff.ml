@@ -99,7 +99,6 @@ let profile_summary (p : Profile.t) =
       in
       ( key,
         ts.Profile.traversals,
-        ts.Profile.cycles,
         Array.to_list ts.Profile.exit_taken,
         arcs )
       :: acc)
@@ -107,7 +106,8 @@ let profile_summary (p : Profile.t) =
   |> List.sort compare
 
 (* Hot-path oracle 2: a replay-cached simulation must agree with a cold
-   run on results, cycles, profile counters and SpD region dynamics. *)
+   run on results, cycles, outcome histograms, profile counters and SpD
+   region dynamics. *)
 let check_replay_equivalence (prepared : Pipeline.prepared) =
   let descr =
     { Spd_machine.Descr.width = Spd_machine.Descr.Fus 4; mem_latency = 2 }
@@ -123,7 +123,7 @@ let check_replay_equivalence (prepared : Pipeline.prepared) =
              ~predicate:a.predicate))
       prepared.applications;
     let r = Interp.run ~timing ~profile ~spd ~fuel:!case_fuel ~replay prepared.prog in
-    ((r.ret, r.output, r.cycles, r.traversals),
+    ((r.ret, r.output, r.cycles, r.traversals, r.outcomes),
      profile_summary profile,
      Profile.Spd.totals spd)
   in

@@ -254,6 +254,93 @@ let test_extension_cell_raise_renders_na () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The explain path reads the SPEC and STATIC nodes and the SPEC trace
+   through [Session.prepared] / [Session.trace], which run under the
+   contained-failure runner with the node's key: a failing node is
+   recorded once, and surfaces as [Cell_failed] naming the key — exit 2
+   on the CLI (never an uncaught exception's 125), an error naming the
+   key from the daemon. *)
+
+let spd_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/spd.exe"
+
+(* exit status and stderr of [spd ARGS] *)
+let run_spd args =
+  let err = Filename.temp_file "spd_faults" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull; Unix.close errfd)
+      (fun () ->
+        Unix.create_process spd_exe
+          (Array.of_list (spd_exe :: args))
+          Unix.stdin devnull errfd)
+  in
+  let status =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (status, In_channel.with_open_bin err In_channel.input_all)
+
+let test_explain_path_contained () =
+  List.iter
+    (fun key ->
+      let faults = parse_ok ("cell-raise:" ^ key) in
+      (* in-process: the accessor records the failure under its key *)
+      let s = Engine.Session.create ~jobs:1 ~faults () in
+      Fun.protect ~finally:(fun () -> Engine.Session.close s) (fun () ->
+          (match H.Explain.analyze ~mem_latency:2 s "moment" with
+          | _ -> Alcotest.failf "%s: explain succeeded under the fault" key
+          | exception Engine.Cell_failed f ->
+              Alcotest.(check string) "Cell_failed names the node" key
+                f.Engine.key);
+          check_bool "recorded as a failure" true
+            (List.map (fun (f : Engine.failure) -> f.Engine.key)
+               (Engine.Session.failures s)
+            = [ key ]));
+      (* the CLI: exit 2, the key on stderr *)
+      let status, err =
+        run_spd [ "explain"; "moment"; "--inject-fault"; "cell-raise:" ^ key ]
+      in
+      check_int ("spd explain exit status under " ^ key) 2 status;
+      check_bool "stderr names the key" true (Test_harness.contains err key);
+      (* the daemon: an error response naming the key *)
+      let path =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "spd_faults_explain_%d.sock" (Unix.getpid ()))
+      in
+      let addr = Spd_serve.Protocol.Unix_path path in
+      let session = Engine.Session.create ~jobs:1 ~faults () in
+      let server = Spd_serve.Server.start ~workers:1 ~session addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Spd_serve.Server.stop server;
+          Spd_serve.Server.wait server;
+          Engine.Session.close session;
+          if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          match Spd_serve.Protocol.connect addr with
+          | Error e -> Alcotest.failf "connect: %s" e
+          | Ok c ->
+              Fun.protect
+                ~finally:(fun () -> Spd_serve.Protocol.close c)
+                (fun () ->
+                  match
+                    Spd_serve.Protocol.call c "explain"
+                      (Spd_telemetry.Json.Obj
+                         [ ("workload", Spd_telemetry.Json.String "moment") ])
+                  with
+                  | Ok _ -> Alcotest.failf "%s: daemon explain succeeded" key
+                  | Error e ->
+                      check_bool "daemon error names the key" true
+                        (Test_harness.contains e key))))
+    [ "moment/2/SPEC/prepared"; "moment/2/STATIC/prepared";
+      "moment/2/SPEC/trace" ]
+
+(* ------------------------------------------------------------------ *)
 (* Self-healing cache: truncate one entry and bit-flip another; a warm
    rerun must detect both, evict, recompute and emit identical bytes. *)
 
@@ -349,6 +436,8 @@ let tests =
     case "report: n/a cells and failure appendix" test_report_renders_na;
     case "report: extension cells contained"
       test_extension_cell_raise_renders_na;
+    case "explain: a failing node is contained under its key"
+      test_explain_path_contained;
     case "cache: self-healing after corruption" test_cache_self_healing;
     case "cache: cache-corrupt fault injection" test_cache_corrupt_fault;
   ]

@@ -402,7 +402,8 @@ let test_query_quota_isolation () =
 (* A budget is part of every simulator node's key: a fuel-starved
    request fails its own profile, the unbudgeted request still shares
    the budget-free STATIC node, and its value is the one a standalone
-   preparation computes. *)
+   preparation computes.  The unbudgeted request interprets two
+   programs: NAIVE (its check's ground truth) and SPEC. *)
 let test_budget_nodes_isolated () =
   with_session (Engine.Session.create ~jobs:1 ~disk_cache:false ())
   @@ fun s ->
@@ -413,7 +414,7 @@ let test_budget_nodes_isolated () =
   let st = Engine.Session.stats s in
   check_int "STATIC node shared across budgets" 1 st.Engine.Stats.static_runs;
   check_int "one profile per budget" 2 st.Engine.Stats.profiles;
-  check_int "one unbudgeted observation" 1 st.Engine.Stats.observations;
+  check_int "unbudgeted traces: NAIVE and SPEC" 2 st.Engine.Stats.traces;
   let standalone =
     Pipeline.cycles
       (Pipeline.prepare
@@ -454,10 +455,14 @@ let test_fingerprint_canonical () =
     = "adi/6/cycles/SPEC/fus5+graft+me=1+mg=0.75+ma=64")
 
 (* The stage DAG over a cold `all` session (paper and extension
-   artefacts): one naive observation and one static disambiguation per
-   (workload, graft), one profile per profiled program, one SpD run per
-   distinct (workload, graft, latency, parameters).  A warm second pass
-   over the extension artefacts then prepares nothing. *)
+   artefacts): one static disambiguation per (workload, graft), one
+   profile per profiled program, one SpD run per distinct (workload,
+   graft, latency, parameters), and one trace per distinct program
+   content — the 22 NAIVE programs (STATIC and PERFECT share them) and
+   the 32 distinct SPEC programs among the 93 SpD runs' results.  Every
+   interpretation is one of those traces, a profile, or one of the 44
+   hardware-window cycle counts.  A warm second pass over the extension
+   artefacts then prepares and interprets nothing. *)
 let test_stage_dag_counts () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -473,6 +478,13 @@ let test_stage_dag_counts () =
           (a.tables s))
       (H.Artefact.of_names names)
   in
+  (* every interpretation of the process, whoever ran it *)
+  let sim_runs () =
+    match List.assoc "spd.sim.runs" (Spd_telemetry.Metrics.snapshot ()) with
+    | Spd_telemetry.Metrics.Counter n -> n
+    | Spd_telemetry.Metrics.Hist _ -> Alcotest.fail "spd.sim.runs is a counter"
+  in
+  let runs0 = sim_runs () in
   let s1 = Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir () in
   let cold =
     with_session s1 (fun s ->
@@ -481,18 +493,179 @@ let test_stage_dag_counts () =
   in
   let st = Engine.Session.stats s1 in
   check_int "lowerings" 11 st.Engine.Stats.lowerings;
-  check_int "naive observations" 22 st.Engine.Stats.observations;
+  check_int "traces: 22 NAIVE + 32 distinct SPEC programs" 54
+    st.Engine.Stats.traces;
+  check_int "interpretations: 54 traces + 33 profiles + 44 hw-window" 131
+    (sim_runs () - runs0);
   check_int "static disambiguations" 22 st.Engine.Stats.static_runs;
   check_int "profiles" 33 st.Engine.Stats.profiles;
   check_int "SpD heuristic runs" 93 st.Engine.Stats.spd_runs;
   check_int "no failures" 0 st.Engine.Stats.cell_failures;
+  let runs1 = sim_runs () in
   let s2 = Engine.Session.create ~jobs:1 ~disk_cache:true ~cache_dir:dir () in
   let warm = with_session s2 (fun s -> tables s H.Artefact.extension_set) in
   let st2 = Engine.Session.stats s2 in
   check_int "warm extensions: preparations" 0 st2.Engine.Stats.preparations;
   check_int "warm extensions: simulations" 0 st2.Engine.Stats.simulations;
   check_int "warm extensions: lowerings" 0 st2.Engine.Stats.lowerings;
+  check_int "warm extensions: interpretations" 0 (sim_runs () - runs1);
   check_bool "warm extensions byte-identical to cold" true (cold = warm)
+
+(* Trace nodes are keyed by what the interpreter reads.  A program
+   that differs only in memory arcs has the same content and shares its
+   trace — NAIVE, STATIC and PERFECT interpret once — while a program
+   whose operations differ (SPEC, or one changed constant) does not. *)
+let test_trace_content_key () =
+  let module Interp = Spd_sim.Interp in
+  let naive =
+    Pipeline.clean Pipeline.Config.default
+      (compile (Spd_workloads.Registry.by_name "moment").source)
+  in
+  let strip_arcs =
+    Ir.Prog.map_trees (fun _ (t : Ir.Tree.t) -> { t with arcs = [] }) naive
+  in
+  check_bool "arcs are not content" true
+    (String.equal (Interp.content naive) (Interp.content strip_arcs));
+  let changed = ref false in
+  let one_op =
+    Ir.Prog.map_trees
+      (fun _ (t : Ir.Tree.t) ->
+        let insns =
+          Array.map
+            (fun (i : Ir.Insn.t) ->
+              match i.op with
+              | Ir.Opcode.Const (Ir.Value.Int n) when not !changed ->
+                  changed := true;
+                  { i with op = Ir.Opcode.Const (Ir.Value.Int (n + 1)) }
+              | _ -> i)
+            t.insns
+        in
+        { t with insns })
+      naive
+  in
+  check_bool "a constant was changed" true !changed;
+  check_bool "one op difference is content" false
+    (String.equal (Interp.content naive) (Interp.content one_op));
+  with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
+  let traces () = (Engine.Session.stats s).Engine.Stats.traces in
+  List.iter
+    (fun kind ->
+      ignore
+        (get
+           (Engine.to_int
+              (Engine.Session.submit s
+                 (Query.v ~bench:"moment" ~latency:2
+                    (Query.Cycles { kind; width = Spd_machine.Descr.Fus 5 }))))))
+    Pipeline.[ Naive; Static; Perfect ];
+  check_int "NAIVE, STATIC and PERFECT share one trace" 1 (traces ());
+  let spec = Engine.Session.prepared s ~bench:"moment" ~latency:2 Pipeline.Spec in
+  check_bool "SPEC changed moment's operations" false
+    (String.equal (Interp.content naive) (Interp.content spec.prog));
+  ignore (Engine.Session.trace s ~bench:"moment" ~latency:2 Pipeline.Spec);
+  check_int "SPEC has its own trace" 2 (traces ())
+
+(* Every cell span of a cold `all` session is tiled by the self times of
+   the stage spans nested in it plus the cell's own remainder, the
+   explicit "other" bucket — the same rule perfbench/spans.py applies to
+   a --trace file — and "other" stays under 10% of the cells' wall
+   clock: the stages account for the work.  The session's per-stage
+   totals are those self times too (a validation nested in the SpD
+   stage is not counted twice). *)
+let test_stage_spans_tile_cells () =
+  let module Trace = Spd_telemetry.Trace in
+  Trace.start ();
+  let stats =
+    Fun.protect ~finally:Trace.stop @@ fun () ->
+    with_session (Engine.Session.create ~jobs:1 ()) @@ fun s ->
+    List.iter
+      (fun (a : H.Artefact.t) -> ignore (a.tables s))
+      (H.Artefact.of_names (H.Artefact.paper_set @ H.Artefact.extension_set));
+    (* the validation ledger nests a validate stage in the spd stage *)
+    ignore
+      (Engine.Session.submit s
+         (Query.v ~bench:"adi" ~latency:2 Query.Spd_verdicts));
+    Engine.Session.stats s
+  in
+  check_int "no dropped events" 0 (Trace.dropped ());
+  let eps = 0.01 (* microseconds of float rounding *) in
+  let open Trace in
+  let events =
+    List.sort
+      (fun a b -> compare (a.tid, a.ts, -.a.dur) (b.tid, b.ts, -.b.dur))
+      (Trace.events ())
+  in
+  (* nest each domain's spans: a span's parent is the innermost open
+     span containing its start *)
+  let children = Hashtbl.create 1024 in
+  let parent = Hashtbl.create 1024 in
+  let stack = ref [] in
+  List.iteri
+    (fun i e ->
+      stack :=
+        List.filter
+          (fun (_, (p : event)) -> p.tid = e.tid && e.ts < p.ts +. p.dur -. eps)
+          !stack;
+      (match !stack with
+      | (pi, p) :: _ ->
+          if e.ts +. e.dur > p.ts +. p.dur +. eps then
+            Alcotest.failf "%s overruns its parent %s" e.name p.name;
+          Hashtbl.replace parent i pi;
+          Hashtbl.replace children pi
+            (i :: Option.value ~default:[] (Hashtbl.find_opt children pi))
+      | [] -> ());
+      stack := (i, e) :: !stack)
+    events;
+  let ev = Array.of_list events in
+  let kids i = Option.value ~default:[] (Hashtbl.find_opt children i) in
+  let self i =
+    ev.(i).dur -. List.fold_left (fun a c -> a +. ev.(c).dur) 0.0 (kids i)
+  in
+  let is_cell i = String.starts_with ~prefix:"cell:" ev.(i).name in
+  let rec descendants i = List.concat_map (fun c -> c :: descendants c) (kids i) in
+  let cells = List.filter is_cell (List.init (Array.length ev) Fun.id) in
+  check_bool "cells were traced" true (List.length cells > 400);
+  let other = ref 0.0 and wall = ref 0.0 in
+  List.iter
+    (fun c ->
+      let nested = descendants c in
+      List.iter
+        (fun d ->
+          if not (String.starts_with ~prefix:"stage:" ev.(d).name) then
+            Alcotest.failf "%s: unexpected span %s" ev.(c).name ev.(d).name)
+        nested;
+      let stages = List.fold_left (fun a d -> a +. self d) 0.0 nested in
+      let o = self c in
+      if o < -.eps || Float.abs (stages +. o -. ev.(c).dur) > eps then
+        Alcotest.failf "%s: stages %.3fus + other %.3fus <> span %.3fus"
+          ev.(c).name stages o ev.(c).dur;
+      other := !other +. o;
+      if not (Hashtbl.mem parent c) then wall := !wall +. ev.(c).dur)
+    cells;
+  if !other > 0.10 *. !wall then
+    Alcotest.failf "other %.1fms exceeds 10%% of the cells' %.1fms"
+      (!other /. 1e3) (!wall /. 1e3);
+  (* per stage, the timer's total matches the spans' self times *)
+  let span_self = Hashtbl.create 16 in
+  Array.iteri
+    (fun i e ->
+      match String.split_on_char ':' e.name with
+      | [ "stage"; st ] ->
+          Hashtbl.replace span_self st
+            (self i
+            +. Option.value ~default:0.0 (Hashtbl.find_opt span_self st))
+      | _ -> ())
+    ev;
+  check_bool "a validate stage ran" true (Hashtbl.mem span_self "validate");
+  List.iter
+    (fun (st, secs) ->
+      let name = Pipeline.stage_name st in
+      let spans =
+        Option.value ~default:0.0 (Hashtbl.find_opt span_self name) /. 1e6
+      in
+      if Float.abs (secs -. spans) > 0.002 +. (0.02 *. spans) then
+        Alcotest.failf "stage %s: timer %.4fs, span self time %.4fs" name
+          secs spans)
+    stats.Engine.Stats.stage_seconds
 
 (* ------------------------------------------------------------------ *)
 (* The decision ledger through the engine (spd why) *)
@@ -602,6 +775,9 @@ let tests =
       test_fingerprint_canonical;
     case "stage DAG: node counts of a cold all, warm extensions"
       test_stage_dag_counts;
+    case "trace nodes keyed by interpreted content" test_trace_content_key;
+    case "stage spans tile every cell of a cold all"
+      test_stage_spans_tile_cells;
     case "cliflags: shared flag parsers" test_cliflags;
     case "speedup metric" test_speedup_metric;
     case "reports render" test_reports_render;

@@ -247,7 +247,6 @@ let profile_summary (p : Sim.Profile.t) =
       in
       ( key,
         ts.Sim.Profile.traversals,
-        ts.Sim.Profile.cycles,
         Array.to_list ts.Sim.Profile.exit_taken,
         arcs )
       :: acc)
@@ -294,6 +293,8 @@ let test_replay_byte_identical () =
         hot.Sim.Interp.cycles;
       check_int (name ^ ": traversals identical") cold.Sim.Interp.traversals
         hot.Sim.Interp.traversals;
+      check_bool (name ^ ": outcome histograms identical") true
+        (cold.Sim.Interp.outcomes = hot.Sim.Interp.outcomes);
       check_bool (name ^ ": profile counters byte-identical") true
         (cold_profile = hot_profile);
       check_bool (name ^ ": SpD totals identical") true (cold_spd = hot_spd))
@@ -301,38 +302,213 @@ let test_replay_byte_identical () =
 
 let test_replay_key_packing () =
   let open Sim.Replay in
-  (* distinct (taken, gmask) pairs pack to distinct keys *)
-  let keys = Hashtbl.create 64 in
+  (* distinct (taken, gmask) pairs are distinct outcomes, each decoding
+     back to its exit and committed store positions *)
+  let gstore_pos = [| 1; 3; 5; 7 |] in
+  let t = create ~packed:true ~gstore_pos () in
   for taken = 0 to 3 do
     for gmask = 0 to 15 do
-      let k = key ~taken ~gmask ~n_guarded_stores:4 in
-      if Hashtbl.mem keys k then Alcotest.failf "key collision at %d" k;
-      Hashtbl.add keys k ()
+      ignore (record t ~taken ~gmask)
     done
   done;
-  check_int "all pairs distinct" 64 (Hashtbl.length keys)
+  let outcomes = outcomes t in
+  check_int "all pairs distinct" 64 (Array.length outcomes);
+  Array.iter
+    (fun (o : Sim.Outcomes.outcome) ->
+      check_int "one traversal each" 1 o.count;
+      check_bool "committed positions are guarded stores" true
+        (Array.for_all (fun p -> Array.mem p gstore_pos) o.committed))
+    outcomes;
+  check_bool "mask bits map to positions" true
+    (Array.exists
+       (fun (o : Sim.Outcomes.outcome) ->
+         o.taken = 2 && o.committed = [| 3; 7 |])
+       outcomes)
 
 let test_replay_cacheable_bounds () =
   let open Sim.Replay in
-  check_bool "small tree cacheable" true
-    (cacheable (create ~n_guarded_stores:3 ()));
-  check_bool "boundary cacheable" true
-    (cacheable (create ~n_guarded_stores:max_guarded_stores ()));
-  let over = create ~n_guarded_stores:(max_guarded_stores + 1) () in
-  check_bool "oversized tree not cacheable" false (cacheable over);
-  (* an uncacheable table swallows adds and never hits *)
-  add over 0 { cost = 1; squashed = 0; active_arcs = [||] };
-  check_bool "uncacheable never hits" true (find over 0 = None)
+  let stores n = Array.init n Fun.id in
+  check_bool "small tree packed" true
+    (packed (create ~packed:true ~gstore_pos:(stores 3) ()));
+  check_bool "boundary packed" true
+    (packed (create ~packed:true ~gstore_pos:(stores max_guarded_stores) ()));
+  check_bool "generic-path guarded store not packed" false
+    (packed (create ~packed:false ~gstore_pos:(stores 1) ()));
+  let n = max_guarded_stores + 1 in
+  let over = create ~packed:true ~gstore_pos:(stores n) () in
+  check_bool "oversized tree not packed" false (packed over);
+  (* the wide key is exact: nothing is dropped or merged *)
+  let active = Array.make n false in
+  ignore (record_wide over ~taken:0 ~active);
+  active.(n - 1) <- true;
+  ignore (record_wide over ~taken:0 ~active);
+  ignore (record_wide over ~taken:0 ~active);
+  ignore (record_wide over ~taken:1 ~active);
+  check_bool "wide outcomes counted exactly" true
+    (Array.to_list (outcomes over)
+    = [
+        { Sim.Outcomes.taken = 0; committed = [||]; count = 1 };
+        { taken = 0; committed = [| n - 1 |]; count = 2 };
+        { taken = 1; committed = [| n - 1 |]; count = 1 };
+      ])
 
 let test_replay_entry_cap () =
   let open Sim.Replay in
-  let t = create ~max_entries:2 ~n_guarded_stores:1 () in
-  let s = { cost = 1; squashed = 0; active_arcs = [||] } in
-  add t 0 s;
-  add t 1 s;
-  add t 2 s;
-  check_bool "capped entry dropped" true (find t 2 = None);
-  check_bool "early entries kept" true (find t 0 <> None && find t 1 <> None)
+  let t = create ~max_entries:2 ~packed:true ~gstore_pos:[| 0 |] () in
+  let s = { squashed = 0; active_arcs = [||] } in
+  let e0 = record t ~taken:0 ~gmask:0 in
+  let e1 = record t ~taken:0 ~gmask:1 in
+  let e2 = record t ~taken:1 ~gmask:0 in
+  remember t e0 s;
+  remember t e1 s;
+  remember t e2 s;
+  check_bool "capped entry dropped" true (summary e2 = None);
+  check_bool "early entries kept" true (summary e0 <> None && summary e1 <> None);
+  ignore (record t ~taken:1 ~gmask:0);
+  check_int "outcome counts are never capped" 4
+    (Array.fold_left
+       (fun n (o : Sim.Outcomes.outcome) -> n + o.count)
+       0 (outcomes t))
+
+(* ------------------------------------------------------------------ *)
+(* Timing.charge of the outcome histogram against an independent
+   oracle: a per-traversal charge computed here from the traversal-cost
+   callback, [max (taken-exit completion, completions of the stores
+   active on that traversal)], read straight off the tree. *)
+
+let widths =
+  Spd_machine.Descr.[ Fus 1; Fus 3; Fus 5; Fus 8; Infinite ]
+
+(* [tables] timing tables; returns the callback and the per-table
+   running sums it accumulates (the callback itself charges 0) *)
+let oracle (tables : Sim.Timing.t array) =
+  let sums = Array.make (Array.length tables) 0 in
+  let trees = Hashtbl.create 64 in
+  let cost ~func ~(tree : Tree.t) ~addrs:_ ~active ~taken =
+    let tts, stores =
+      match Hashtbl.find_opt trees (func, tree.id) with
+      | Some x -> x
+      | None ->
+          let x =
+            ( Array.map (fun t -> Sim.Timing.find t ~func ~tree_id:tree.id) tables,
+              List.filter
+                (fun pos -> Insn.is_store tree.insns.(pos))
+                (List.init (Array.length tree.insns) Fun.id) )
+          in
+          Hashtbl.replace trees (func, tree.id) x;
+          x
+    in
+    Array.iteri
+      (fun i (tt : Sim.Timing.tree_timing) ->
+        let c =
+          List.fold_left
+            (fun c pos -> if active.(pos) then max c tt.insn_completion.(pos) else c)
+            tt.exit_completion.(taken) stores
+        in
+        sums.(i) <- sums.(i) + c)
+      tts;
+    0
+  in
+  (cost, sums)
+
+(* [prog]'s charge on every (latency, width) equals the oracle's, with
+   and without replay, and both runs record the same histogram *)
+let check_charge name prog latencies =
+  let descrs =
+    List.concat_map
+      (fun mem_latency ->
+        List.map (fun width -> { Spd_machine.Descr.width; mem_latency }) widths)
+      latencies
+  in
+  let tables =
+    Array.of_list
+      (List.map (fun d -> Spd_machine.Timing_builder.program d prog) descrs)
+  in
+  let runs =
+    List.map
+      (fun replay ->
+        let cost, sums = oracle tables in
+        let r = Sim.Interp.run ~traversal_cost:cost ~replay prog in
+        check_int (name ^ ": the oracle charges through its sums") 0 r.cycles;
+        List.iteri
+          (fun i d ->
+            check_int
+              (Fmt.str "%s %a replay=%b: charge = oracle" name
+                 Spd_machine.Descr.pp d replay)
+              sums.(i)
+              (Sim.Timing.charge tables.(i) r.outcomes))
+          descrs;
+        r.outcomes)
+      [ true; false ]
+  in
+  check_bool (name ^ ": replay does not change the histogram") true
+    (List.nth runs 0 = List.nth runs 1);
+  check_int (name ^ ": run ~timing is run + charge")
+    (Sim.Timing.charge tables.(0) (List.hd runs))
+    (Sim.Interp.run ~timing:tables.(0) prog).cycles
+
+let test_charge_oracle () =
+  let session = Spd_harness.Engine.Session.create ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Spd_harness.Engine.Session.close session)
+  @@ fun () ->
+  List.iter
+    (fun bench ->
+      let prepared latency kind =
+        Spd_harness.Engine.Session.prepared session ~bench ~latency kind
+      in
+      (* NAIVE, STATIC and PERFECT do not depend on the latency: one
+         program, charged at both *)
+      List.iter
+        (fun kind ->
+          check_charge
+            (bench ^ "/" ^ Spd_harness.Pipeline.name kind)
+            (prepared 2 kind).prog [ 2; 6 ])
+        Spd_harness.Pipeline.[ Naive; Static; Perfect ];
+      List.iter
+        (fun latency ->
+          check_charge
+            (Printf.sprintf "%s/%d/SPEC" bench latency)
+            (prepared latency Spd_harness.Pipeline.Spec).prog [ latency ])
+        [ 2; 6 ])
+    Spd_workloads.Registry.names
+
+(* a loop tree with 45 guarded stores: more than a packed outcome key
+   holds, so its outcomes take the wide key *)
+let wide_source =
+  let ifs =
+    List.init 45 (fun k ->
+        Printf.sprintf "    if ((i + %d) %% %d == 0) a[%d] = i;" k (k + 2) k)
+  in
+  Printf.sprintf
+    {|int a[64];
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 300; i = i + 1) {
+%s
+  }
+  for (i = 0; i < 64; i = i + 1) s = s + a[i];
+  return s;
+}
+|}
+    (String.concat "\n" ifs)
+
+let test_charge_wide_tree () =
+  let prog = compile wide_source in
+  let guarded (t : Tree.t) =
+    Array.fold_left
+      (fun n (i : Insn.t) -> if Insn.is_store i && i.guard <> None then n + 1 else n)
+      0 t.insns
+  in
+  let most = ref 0 in
+  Prog.iter_trees (fun _ t -> most := max !most (guarded t)) prog;
+  check_bool "a tree exceeds the packed key" true
+    (!most > Sim.Replay.max_guarded_stores);
+  check_charge "wide" prog [ 2; 6 ];
+  (* every traversal is counted: no outcome was dropped *)
+  let r = Sim.Interp.run prog in
+  check_int "histogram counts every traversal" r.traversals
+    (List.fold_left (fun n tr -> n + Sim.Outcomes.traversals tr) 0 r.outcomes)
 
 let tests =
   [
@@ -353,4 +529,8 @@ let tests =
     case "replay key packing is injective" test_replay_key_packing;
     case "replay cacheable bounds" test_replay_cacheable_bounds;
     case "replay entry cap" test_replay_entry_cap;
+    case "charge = per-traversal oracle: every workload and pipeline"
+      test_charge_oracle;
+    case "charge = per-traversal oracle: >40 guarded stores"
+      test_charge_wide_tree;
   ]
